@@ -98,14 +98,7 @@ proc main() {
 
 let measure machine src =
   let config =
-    {
-      Config.name = "ablation";
-      ipra = true;
-      shrinkwrap = true;
-      machine;
-      jobs = 1;
-      alloc = Chow_core.Allocator.Chow;
-    }
+{ Config.o3_sw with name = "ablation"; machine }
   in
   let o = Pipeline.run (Pipeline.compile_source config (Pipeline.Src src)) in
   (o.Sim.cycles, o.Sim.save_loads + o.Sim.save_stores)

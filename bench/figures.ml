@@ -370,8 +370,7 @@ let fig4 () =
      rule: usage on a cold internal path of r is shrink-wrapped inside r.@.@.";
   let machine = Machine.restrict ~n_caller:3 ~n_callee:2 ~n_param:4 in
   let cfg name ipra shrinkwrap =
-    { Config.name; ipra; shrinkwrap; machine; jobs = 1;
-      alloc = Chow_core.Allocator.Chow }
+{ Config.baseline with name; ipra; shrinkwrap; machine }
   in
   let base_cfg = cfg "-O2/small" false false in
   let b_cfg = cfg "-O3/small" true false in

@@ -59,15 +59,7 @@ proc main() {
 (* scarce registers, so the allocator has to choose whom to starve *)
 let machine = Machine.restrict ~n_caller:2 ~n_callee:1 ~n_param:2
 
-let config =
-  {
-    Config.name = "-O3+sw/small";
-    ipra = true;
-    shrinkwrap = true;
-    machine;
-    jobs = 1;
-    alloc = Chow_core.Allocator.Chow;
-  }
+let config = { Config.o3_sw with name = "-O3+sw/small"; machine }
 
 let run () =
   Format.printf "@.Profile feedback (the paper's §8 future work)@.";

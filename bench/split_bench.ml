@@ -58,12 +58,9 @@ let run () =
     (fun n ->
       let config =
         {
-          Config.name = Printf.sprintf "%dregs" n;
-          ipra = true;
-          shrinkwrap = true;
+          Config.o3_sw with
+          name = Printf.sprintf "%dregs" n;
           machine = Machine.restrict ~n_caller:(min n 11) ~n_callee:0 ~n_param:0;
-          jobs = 1;
-          alloc = Chow_core.Allocator.Chow;
         }
       in
       let c = Pipeline.compile_source config (Pipeline.Src src) in

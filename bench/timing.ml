@@ -153,12 +153,6 @@ let tests () =
       compile_test ~name:"table2/nim-7callee" Config.seven_callee nim;
       (* the largest program, checking the one-pass property scales *)
       compile_test ~name:"table1/uopt-O3+sw" Config.o3_sw uopt;
-      (* sequential vs wave-parallel allocation of the same program: the
-         pair that tracks the domain-pool speedup across PRs *)
-      compile_test ~name:"table1/uopt-O3+sw-j1" (Config.with_jobs 1 Config.o3_sw)
-        uopt;
-      compile_test ~name:"table1/uopt-O3+sw-j4" (Config.with_jobs 4 Config.o3_sw)
-        uopt;
       (* figures *)
       compile_test ~name:"fig1/compile" Config.o3_sw Figures.fig1_src;
       compile_test ~name:"fig3/compile" Config.o2_sw (Figures.fig3_src 1 1);
@@ -352,13 +346,13 @@ let write_json rows metrics =
   Format.printf "wrote %s (%d entries)@." json_path total
 
 (** One traced compile-and-run of the largest workload under the headline
-    configuration at [-j4] — the Chrome-loadable timeline showing the
-    wave-parallel allocation spans next to the simulator counters. *)
+    configuration — the Chrome-loadable timeline showing the per-procedure
+    allocation spans next to the simulator counters. *)
 let write_trace path =
   Trace.reset ();
   Trace.enable ();
   let compiled =
-    Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "uopt"))
+    Pipeline.compile_source Config.o3_sw (Pipeline.Src (source_of "uopt"))
   in
   ignore (Sim.run (Pipeline.program compiled));
   Trace.disable ();

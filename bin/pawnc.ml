@@ -70,6 +70,28 @@ let read_file path =
 
 (* ----- shared options ----- *)
 
+(* Numeric options whose zero, negative or non-finite values have no
+   meaning are range-checked while parsing, so a bad value is a command-line
+   error (exit 2, naming the option) and never reaches the libraries. *)
+let positive of_string ok ~expected pp =
+  let parse s =
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int =
+  positive int_of_string_opt (fun n -> n > 0) ~expected:"a positive integer"
+    Format.pp_print_int
+
+let positive_float =
+  positive float_of_string_opt
+    (fun x -> Float.is_finite x && x > 0.)
+    ~expected:"a positive finite number" Format.pp_print_float
+
 let file_arg =
   Arg.(
     required
@@ -103,15 +125,6 @@ let machine_arg =
         ~doc:
           "Register file: $(b,full) (11 caller + 4 param + 9 callee), \
            $(b,7caller), or $(b,7callee) (the paper's Table 2 restrictions).")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Parallelism of the allocator pipeline: compilation units and \
-           call-graph waves are compiled on $(docv) domains.  The output \
-           is identical for every $(docv).")
 
 let alloc_arg =
   let alloc_conv =
@@ -171,7 +184,7 @@ let pgo_arg =
 let inline_budget_arg =
   Arg.(
     value
-    & opt float Pipeline.default_inline_budget
+    & opt positive_float Pipeline.default_inline_budget
     & info [ "inline-budget" ] ~docv:"X"
         ~doc:
           "Code-growth bound for $(b,--pgo): stop inlining once a unit \
@@ -222,7 +235,7 @@ let print_stats compiled =
   print_newline ();
   Format.printf "%a@?" Metrics.pp_table ()
 
-let config_of ?(alloc = Allocator.Chow) ~o3 ~no_sw ~machine ~jobs () =
+let config_of ?(alloc = Allocator.Chow) ~o3 ~no_sw ~machine () =
   {
     Config.name =
       Printf.sprintf "%s%s%s"
@@ -234,7 +247,6 @@ let config_of ?(alloc = Allocator.Chow) ~o3 ~no_sw ~machine ~jobs () =
     ipra = o3;
     shrinkwrap = not no_sw;
     machine;
-    jobs;
     alloc;
   }
 
@@ -274,11 +286,11 @@ let print_counters name (o : Sim.outcome) =
 
 let run_cmd =
   let doc = "Compile a Pawn program and execute it in the simulator." in
-  let run file o3 no_sw machine jobs alloc counters global_promo pgo
+  let run file o3 no_sw machine alloc counters global_promo pgo
       inline_budget trace stats =
     handle_errors @@ fun () ->
     with_obs ~trace ~stats @@ fun () ->
-    let config = config_of ~alloc ~o3 ~no_sw ~machine ~jobs () in
+    let config = config_of ~alloc ~o3 ~no_sw ~machine () in
     let src = read_file file in
     let pgo = pgo_of ~config ~srcs:[ src ] ~budget:inline_budget pgo in
     let compiled =
@@ -297,7 +309,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run $ file_arg $ o3_flag $ no_sw_flag $ machine_arg $ jobs_arg
+      const run $ file_arg $ o3_flag $ no_sw_flag $ machine_arg
       $ alloc_arg $ counters $ promo_flag $ pgo_arg $ inline_budget_arg
       $ trace_arg $ stats_flag)
 
@@ -305,11 +317,11 @@ let run_cmd =
 
 let compile_cmd =
   let doc = "Compile and dump intermediate artifacts." in
-  let compile file o3 no_sw machine jobs alloc dump_ir dump_asm dump_alloc
+  let compile file o3 no_sw machine alloc dump_ir dump_asm dump_alloc
       trace stats explain =
     handle_errors @@ fun () ->
     with_obs ~trace ~stats @@ fun () ->
-    let config = config_of ~alloc ~o3 ~no_sw ~machine ~jobs () in
+    let config = config_of ~alloc ~o3 ~no_sw ~machine () in
     let explain_buf = Option.map (fun name -> (name, ref [])) explain in
     let compiled =
       Pipeline.compile_source ?explain:explain_buf config
@@ -407,18 +419,17 @@ let compile_cmd =
     (Cmd.info "compile" ~doc)
     Term.(
       const compile $ file_arg $ o3_flag $ no_sw_flag $ machine_arg
-      $ jobs_arg $ alloc_arg $ dump_ir $ dump_asm $ dump_alloc $ trace_arg
+      $ alloc_arg $ dump_ir $ dump_asm $ dump_alloc $ trace_arg
       $ stats_flag $ explain_arg)
 
 (* ----- stats ----- *)
 
 let stats_cmd =
   let doc = "Compare the six measurement configurations of the paper." in
-  let stats file jobs =
+  let stats file =
     handle_errors @@ fun () ->
     let src = read_file file in
-    let configs = List.map (Config.with_jobs jobs) Config.all in
-    let results = Pipeline.run_all_configs ~configs src in
+    let results = Pipeline.run_all_configs src in
     let base =
       match results with (_, o) :: _ -> o | [] -> assert false
     in
@@ -438,7 +449,7 @@ let stats_cmd =
              (o.Sim.scalar_loads + o.Sim.scalar_stores)))
       results
   in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const stats $ file_arg $ jobs_arg)
+  Cmd.v (Cmd.info "stats" ~doc) Term.(const stats $ file_arg)
 
 (* ----- profile ----- *)
 
@@ -449,11 +460,11 @@ let profile_cmd =
      save/restore, spill, stack argument, data), attribute it to the call \
      site that forced it, and build the dynamic call tree."
   in
-  let profile file o3 no_sw machine jobs alloc global_promo penalty_report
+  let profile file o3 no_sw machine alloc global_promo penalty_report
       calltree limit max_depth emit trace stats =
     handle_errors @@ fun () ->
     with_obs ~trace ~stats @@ fun () ->
-    let config = config_of ~alloc ~o3 ~no_sw ~machine ~jobs () in
+    let config = config_of ~alloc ~o3 ~no_sw ~machine () in
     let src = read_file file in
     let compiled =
       Pipeline.compile_source ~global_promo config (Pipeline.Src src)
@@ -522,7 +533,7 @@ let profile_cmd =
     (Cmd.info "profile" ~doc)
     Term.(
       const profile $ file_arg $ o3_flag $ no_sw_flag $ machine_arg
-      $ jobs_arg $ alloc_arg $ promo_flag $ penalty_report_flag
+      $ alloc_arg $ promo_flag $ penalty_report_flag
       $ calltree_flag $ limit_arg $ max_depth_arg $ emit_arg $ trace_arg
       $ stats_flag)
 
@@ -533,9 +544,9 @@ let callgraph_cmd =
     "Show the depth-first processing order, the open/closed classification, \
      and the published register-usage masks."
   in
-  let callgraph file o3 no_sw machine jobs alloc =
+  let callgraph file o3 no_sw machine alloc =
     handle_errors @@ fun () ->
-    let config = config_of ~alloc ~o3 ~no_sw ~machine ~jobs () in
+    let config = config_of ~alloc ~o3 ~no_sw ~machine () in
     let compiled =
       Pipeline.compile_source config (Pipeline.Src (read_file file))
     in
@@ -560,7 +571,7 @@ let callgraph_cmd =
     (Cmd.info "callgraph" ~doc)
     Term.(
       const callgraph $ file_arg $ o3_flag $ no_sw_flag $ machine_arg
-      $ jobs_arg $ alloc_arg)
+      $ alloc_arg)
 
 (* ----- build ----- *)
 
@@ -600,11 +611,11 @@ let build_cmd =
             "Compile only: write $(i,FILE).pawno next to each input \
              instead of linking.  No unit is required to define main.")
   in
-  let build files c_only o3 no_sw machine jobs alloc global_promo cache_dir
+  let build files c_only o3 no_sw machine alloc global_promo cache_dir
       pgo inline_budget trace stats =
     handle_errors @@ fun () ->
     with_obs ~trace ~stats @@ fun () ->
-    let config = config_of ~alloc ~o3 ~no_sw ~machine ~jobs () in
+    let config = config_of ~alloc ~o3 ~no_sw ~machine () in
     let cache = Option.map (fun dir -> Cache.create ~dir ()) cache_dir in
     let srcs = List.map read_file files in
     let pgo = pgo_of ~config ~srcs ~budget:inline_budget pgo in
@@ -638,7 +649,7 @@ let build_cmd =
     (Cmd.info "build" ~doc)
     Term.(
       const build $ files_arg $ c_flag $ o3_flag $ no_sw_flag $ machine_arg
-      $ jobs_arg $ alloc_arg $ promo_flag $ cache_dir_arg $ pgo_arg
+      $ alloc_arg $ promo_flag $ cache_dir_arg $ pgo_arg
       $ inline_budget_arg $ trace_arg $ stats_flag)
 
 (* ----- link ----- *)
@@ -709,13 +720,15 @@ let serve_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains executing requests (each compiles with -j1).")
+          ~doc:
+            "Worker domains executing requests; each request compiles \
+             sequentially on its worker.")
   in
   let queue_bound_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Admission-queue depth: requests beyond $(docv) waiting jobs \
@@ -724,7 +737,7 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Artifact-cache shards: independent locks by key prefix, so \
@@ -733,7 +746,7 @@ let serve_cmd =
   let max_entries_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "max-entries" ] ~docv:"N"
           ~doc:"Bound the artifact cache (LRU eviction); default unbounded.")
   in
@@ -788,13 +801,13 @@ let serve_cmd =
   in
   let sample_interval_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "sample-interval" ] ~docv:"SECONDS"
           ~doc:"Seconds between telemetry samples (default 1).")
   in
   let telemetry_lines_arg =
     Arg.(
-      value & opt int 10_000
+      value & opt positive_int 10_000
       & info [ "telemetry-lines" ] ~docv:"N"
           ~doc:
             "Rotate the telemetry file after $(docv) samples (default \
@@ -820,10 +833,6 @@ let serve_cmd =
             Printf.eprintf "log written to %s\n%!" path)
           log)
     @@ fun () ->
-    if sample_interval <= 0. then begin
-      Printf.eprintf "error: --sample-interval must be positive\n";
-      exit 2
-    end;
     let server =
       Server.create ~workers ~queue_bound ?cache_dir ~cache_shards:shards
         ?cache_max_entries:max_entries ~flight_path ?telemetry_path:telemetry
@@ -1053,7 +1062,7 @@ let top_cmd =
   in
   let interval_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "interval" ] ~docv:"SECONDS"
           ~doc:"Seconds between polls (default 1).")
   in
@@ -1133,10 +1142,6 @@ let top_cmd =
   in
   let top socket interval count =
     handle_errors @@ fun () ->
-    if interval <= 0. then begin
-      Printf.eprintf "error: --interval must be positive\n";
-      exit 2
-    end;
     try
       Client.with_connection ~socket_path:socket @@ fun c ->
       let poll () =

@@ -18,6 +18,7 @@ module Pipeline = Chow_compiler.Pipeline
 module Ipra = Chow_core.Ipra
 module Alloc = Chow_core.Alloc_types
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 
 let source =
   {|
@@ -56,12 +57,9 @@ proc main() {
 (* a scarce register file, so the allocator must choose whom to starve *)
 let config =
   {
-    Config.name = "-O3+sw/small";
-    ipra = true;
-    shrinkwrap = true;
+    Config.o3_sw with
+    name = "-O3+sw/small";
     machine = Machine.restrict ~n_caller:2 ~n_callee:1 ~n_param:2;
-    jobs = 1;
-    alloc = Chow_core.Allocator.Chow;
   }
 
 let location_of (c : Pipeline.compiled) proc var =
@@ -101,10 +99,11 @@ let () =
   let profiled_o = Pipeline.run profiled in
   show "profile feedback" profiled profiled_o;
   assert (static_o.Sim.output = profiled_o.Sim.output);
+  (* the training run executed the static build *)
   Format.printf
     "@.training run: %d cycles, %d basic blocks measured@."
     training.Sim.cycles
-    (List.length training.Sim.block_counts);
+    (List.length (Decode.block_counts (Pipeline.program static) training));
   Format.printf
     "cycles recovered by feedback: %d (%.1f%%)@."
     (static_o.Sim.cycles - profiled_o.Sim.cycles)

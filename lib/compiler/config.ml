@@ -12,12 +12,8 @@ type t = {
   ipra : bool;  (** -O3: inter-procedural allocation *)
   shrinkwrap : bool;
   machine : Machine.config;
-  jobs : int;  (** allocator/pipeline parallelism; 1 = sequential *)
   alloc : Allocator.strategy;  (** register-allocation strategy *)
 }
-
-(** [with_jobs n config] is [config] compiling with parallelism [n]. *)
-let with_jobs jobs t = { t with jobs }
 
 (** [with_alloc strategy config] is [config] allocating with
     [strategy]. *)
@@ -25,11 +21,10 @@ let with_alloc alloc t = { t with alloc }
 
 (** [fingerprint t] is a stable string identifying every field of [t] that
     can change generated code: the optimisation switches and the machine
-    model.  [name] is presentation and [jobs] is scheduling — the
-    wave-parallel allocator is bit-identical for every [-j] — so neither
-    participates.  The incremental cache keys unit artifacts on this, so
-    two configurations share cache entries exactly when they provably
-    produce the same code. *)
+    model.  [name] is presentation, so it does not participate.  The
+    incremental cache keys unit artifacts on this, so two configurations
+    share cache entries exactly when they provably produce the same
+    code. *)
 let fingerprint t =
   Printf.sprintf "ipra=%b;sw=%b;alloc=%s;nparam=%d;regs=%s" t.ipra
     t.shrinkwrap
@@ -43,7 +38,6 @@ let baseline =
     ipra = false;
     shrinkwrap = false;
     machine = Machine.full;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 
@@ -54,7 +48,6 @@ let o2_sw =
     ipra = false;
     shrinkwrap = true;
     machine = Machine.full;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 
@@ -65,7 +58,6 @@ let o3 =
     ipra = true;
     shrinkwrap = false;
     machine = Machine.full;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 
@@ -76,7 +68,6 @@ let o3_sw =
     ipra = true;
     shrinkwrap = true;
     machine = Machine.full;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 
@@ -87,7 +78,6 @@ let seven_caller =
     ipra = true;
     shrinkwrap = true;
     machine = Machine.seven_caller_saved;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 
@@ -98,7 +88,6 @@ let seven_callee =
     ipra = true;
     shrinkwrap = true;
     machine = Machine.seven_callee_saved;
-    jobs = 1;
     alloc = Allocator.Chow;
   }
 

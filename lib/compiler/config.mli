@@ -1,8 +1,9 @@
 (** Compilation configurations matching the paper's measurement setup (§8).
 
     This interface is the supported surface of the compiler library's
-    configuration: the record itself (construction by literal is the
-    intended API, as [bin/pawnc.ml] does), the six named configurations of
+    configuration: the record itself (build variants with
+    [{ Config.o3_sw with ... }] over a named configuration, so adding a
+    field touches only this module), the six named configurations of
     Tables 1 and 2, and the {!fingerprint} that keys the incremental
     cache. *)
 
@@ -14,14 +15,10 @@ type t = {
   ipra : bool;  (** -O3: inter-procedural allocation *)
   shrinkwrap : bool;
   machine : Machine.config;
-  jobs : int;  (** allocator/pipeline parallelism; 1 = sequential *)
   alloc : Allocator.strategy;
       (** register-allocation strategy; the named configurations all use
           {!Allocator.Chow} *)
 }
-
-(** [with_jobs n config] is [config] compiling with parallelism [n]. *)
-val with_jobs : int -> t -> t
 
 (** [with_alloc strategy config] is [config] allocating with
     [strategy]. *)
@@ -40,6 +37,6 @@ val all : t list
 
 (** [fingerprint t] is a stable string over every code-affecting field —
     optimisation switches, allocation strategy and machine model,
-    excluding [name] and [jobs] (allocation is bit-identical for every
-    [-j]).  Part of the incremental cache key. *)
+    excluding the presentational [name].  Part of the incremental cache
+    key. *)
 val fingerprint : t -> string

@@ -30,11 +30,11 @@ module Link = Chow_codegen.Link
 module Asm = Chow_codegen.Asm
 module Objfile = Chow_codegen.Objfile
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 module Profile = Chow_sim.Profile
 module Inline = Chow_ir.Inline
 module Callgraph = Chow_core.Callgraph
 module Bitset = Chow_support.Bitset
-module Pool = Chow_support.Pool
 module Trace = Chow_obs.Trace
 module Metrics = Chow_obs.Metrics
 module Log = Chow_obs.Log
@@ -99,7 +99,8 @@ let pgo_error fmt =
 
 let pgo ?(budget = default_inline_budget) ~(config : Config.t) ~srcs
     (a : Profile.artifact) : pgo =
-  if budget <= 0. then invalid_arg "Pipeline.pgo: budget must be positive";
+  if not (Float.is_finite budget && budget > 0.) then
+    invalid_arg "Pipeline.pgo: budget must be positive and finite";
   let fp = Config.fingerprint config in
   if a.Profile.a_config_fp <> fp then
     pgo_error
@@ -254,12 +255,12 @@ let preserved_regs (alloc : Ipra.t) (res : Alloc_types.result) =
     | Some info -> Usage.preserved_of_mask info.Usage.mask
     | None -> Machine.callee_saved
 
-let allocate_unit ?profile ?pool ?explain (config : Config.t) ~unit_idx
+let allocate_unit ?profile ?explain (config : Config.t) ~unit_idx
     (unit_ir : Ir.prog) =
   let alloc () =
     Ipra.allocate_program ~ipra:config.Config.ipra
       ~shrinkwrap:config.Config.shrinkwrap ~strategy:config.Config.alloc
-      ?profile ?pool ?explain config.Config.machine unit_ir
+      ?profile ?explain config.Config.machine unit_ir
   in
   if Trace.is_on () then
     phase ~args:[ ("unit", Trace.Int unit_idx) ] "allocate-unit" alloc
@@ -356,22 +357,16 @@ let link_units (arts : Objfile.t list) : Asm.program =
   end;
   program
 
-(** Lay out, allocate and emit each unit at its link-order data base; no
-    link.  Units are independent until link, so they are compiled
-    concurrently on one domain pool of [config.jobs] lanes; the same pool
-    is shared with the per-unit wave allocation (nested
-    [Pool.parallel_map] is safe), and unit order is preserved. *)
+(** Lay out, allocate and emit each unit at its link-order data base, in
+    unit order; no link. *)
 let fresh_unit_arts ?profile ?explain (config : Config.t)
     (units : Ir.prog list) =
   let layouts = phase "layout" (fun () -> unit_layouts units) in
-  let indexed =
-    List.mapi (fun i (u, l) -> (i, u, l)) (List.combine units layouts)
-  in
   let allocs =
     phase "allocate" (fun () ->
-        Pool.with_pool config.Config.jobs (fun pool ->
-            Pool.parallel_map pool indexed (fun (unit_idx, u, _) ->
-                allocate_unit ?profile ~pool ?explain config ~unit_idx u)))
+        List.mapi
+          (fun unit_idx u -> allocate_unit ?profile ?explain config ~unit_idx u)
+          units)
   in
   let arts =
     phase "emit" (fun () ->
@@ -459,14 +454,15 @@ let resolve_cached ?(global_promo = false) ?pgo ~cache ~require_main_first
           srcs)
   in
   phase "compile-units" (fun () ->
-      Pool.with_pool config.Config.jobs (fun pool ->
-          Pool.parallel_map pool slots (function
-            | `Hit art -> (art, None)
-            | `Miss (key, unit_idx, unit_ir, layout, base, size, init) ->
-                let alloc = allocate_unit ~pool config ~unit_idx unit_ir in
-                let art = emit_unit_art ~layout ~base ~size ~init alloc in
-                Cache.store cache key art;
-                (art, Some alloc))))
+      List.map
+        (function
+          | `Hit art -> (art, None)
+          | `Miss (key, unit_idx, unit_ir, layout, base, size, init) ->
+              let alloc = allocate_unit config ~unit_idx unit_ir in
+              let art = emit_unit_art ~layout ~base ~size ~init alloc in
+              Cache.store cache key art;
+              (art, Some alloc))
+        slots)
 
 let compile_srcs_cached ?global_promo ?pgo ~cache (config : Config.t)
     (srcs : string list) : compiled =
@@ -584,7 +580,7 @@ let compile_with_profile ?fuel (config : Config.t) src =
       match Hashtbl.find_opt counts pname with
       | Some arr when l < Array.length arr -> arr.(l) <- float_of_int n
       | Some _ | None -> ())
-    outcome.Sim.block_counts;
+    (Decode.block_counts training.c_program outcome);
   let profile name =
     Option.map Chow_core.Liverange.weights_of_profile
       (Hashtbl.find_opt counts name)

@@ -65,7 +65,8 @@ val default_inline_budget : float
 val source_digest : string list -> string
 
 (** [pgo a ~config ~srcs] validates [a] against the build about to run.
-    Raises [Invalid_argument] if [budget <= 0] and a [Profile]-phase
+    Raises [Invalid_argument] unless [budget] is positive and finite, and
+    a [Profile]-phase
     {!Diag.error} (as {!Diag.Error}) if [a] was measured under a
     different {!Config.fingerprint} or different source texts. *)
 val pgo :

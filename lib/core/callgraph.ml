@@ -14,14 +14,12 @@ module Ir = Chow_ir.Ir
 
 type t = {
   order : string list;  (** processing order, callees before callers *)
-  wave_list : string list list;  (** [order] leveled into dependency waves *)
   open_set : (string, unit) Hashtbl.t;
   callees : (string, string list) Hashtbl.t;  (** direct callees, deduped *)
 }
 
 let is_open t name = Hashtbl.mem t.open_set name
 let processing_order t = t.order
-let waves t = t.wave_list
 let direct_callees t name =
   Option.value ~default:[] (Hashtbl.find_opt t.callees name)
 
@@ -96,15 +94,14 @@ let build (prog : Ir.prog) =
   (* visibility: exported procedures (main included) and taken addresses *)
   List.iter (fun p -> if p.Ir.exported then mark p.Ir.pname) prog.procs;
   List.iter mark (Ir.address_taken prog);
-  (* Level the SCC condensation into dependency waves: a component's wave is
-     one past the deepest wave among the components it calls into, so every
-     inter-component callee of a wave-k procedure lives in some wave < k
-     (intra-component callees — recursion — share the wave; they are open
-     and never consume each other's summaries).  Tarjan emits callees
-     first, so each component's callee components are already leveled when
-     it is reached.  [processing_order] is the concatenation of the waves —
-     still a callees-before-callers topological order, with the emission
-     order kept inside each wave for determinism. *)
+  (* Level the SCC condensation: a component's level is one past the
+     deepest level among the components it calls into, so every
+     inter-component callee of a level-k procedure lives in some level < k.
+     Tarjan emits callees first, so each component's callee components are
+     already leveled when it is reached.  [processing_order] lists the
+     levels in turn, keeping Tarjan's emission order inside each level — a
+     callees-before-callers order that fixes the procedure order of every
+     linked image. *)
   let comps = Array.of_list components in
   let ncomps = Array.length comps in
   let comp_of = Hashtbl.create 16 in
@@ -124,14 +121,10 @@ let build (prog : Ir.prog) =
               acc (succs n))
           0 comp)
     comps;
-  let nwaves = Array.fold_left (fun acc l -> max acc (l + 1)) 0 level in
-  let buckets = Array.make (max 1 nwaves) [] in
+  let nlevels = Array.fold_left (fun acc l -> max acc (l + 1)) 0 level in
+  let buckets = Array.make (max 1 nlevels) [] in
   for i = ncomps - 1 downto 0 do
     buckets.(level.(i)) <- comps.(i) :: buckets.(level.(i))
   done;
-  let wave_list =
-    Array.to_list buckets |> List.filter_map (fun ws ->
-        match List.concat ws with [] -> None | w -> Some w)
-  in
-  let order = List.concat wave_list in
-  { order; wave_list; open_set; callees }
+  let order = List.concat_map List.concat (Array.to_list buckets) in
+  { order; open_set; callees }

@@ -14,17 +14,12 @@ val build : Chow_ir.Ir.prog -> t
 
 val is_open : t -> string -> bool
 
-(** Processing order: callees before callers; members of a cycle are
-    adjacent.  Equals [List.concat (waves t)]. *)
+(** Processing order: callees before callers.  The SCC condensation is
+    leveled — every inter-component callee of a level-[k] procedure lives
+    in some level [< k] — and the levels are listed in turn, so members of
+    a cycle are adjacent.  This order fixes the procedure order inside
+    every linked image. *)
 val processing_order : t -> string list
-
-(** The SCC condensation leveled into dependency waves: every
-    inter-component callee of a wave-[k] procedure lives in some wave
-    [< k], so the procedures of one wave can be allocated independently
-    once all earlier waves have published their usage summaries.
-    Members of a cycle share a wave (and are open, so they never read
-    each other's summaries). *)
-val waves : t -> string list list
 
 (** Direct callees defined in the same program, deduplicated. *)
 val direct_callees : t -> string -> string list

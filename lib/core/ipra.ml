@@ -5,24 +5,13 @@
     register-usage summary into the shared table before any caller is
     allocated, so a single pass suffices.  With [ipra = false] every
     procedure is allocated with the default linkage convention, which is the
-    paper's [-O2] baseline.
-
-    The pass order only requires callee summaries to exist before their
-    callers are colored, so the driver walks the call graph wave by wave
-    ([Callgraph.waves]) and colors the procedures of one wave concurrently
-    on a domain pool: per-procedure liveness, interference and coloring are
-    independent, and the usage table is read-only while a wave is in
-    flight.  Summaries are then published sequentially in processing
-    order, so [results], [usage] and [stats] are identical to the
-    sequential driver's whatever the pool size. *)
+    paper's [-O2] baseline. *)
 
 module Ir = Chow_ir.Ir
 module Machine = Chow_machine.Machine
-module Pool = Chow_support.Pool
 module Trace = Chow_obs.Trace
 module Metrics = Chow_obs.Metrics
 
-let m_waves = Metrics.counter "ipra.waves"
 let m_masks = Metrics.counter "ipra.masks_published"
 
 type t = {
@@ -37,83 +26,49 @@ let find t name = List.assoc_opt name t.results
 (** [allocate_program ?profile ...] optionally takes measured block
     frequencies per procedure (the paper's "feedback of profile data to the
     register allocator", §8 future work); procedures without a profile keep
-    the static loop-depth estimates.  [jobs] is the parallelism used for
-    each wave (a fresh pool, ignored when [pool] supplies a shared one).
-    [strategy] selects the allocation policy (default the paper's priority
-    coloring); every strategy flows through the same IPRA publication. *)
+    the static loop-depth estimates.  [strategy] selects the allocation
+    policy (default the paper's priority coloring); every strategy flows
+    through the same IPRA publication. *)
 let allocate_program ?(ipra = false) ?(shrinkwrap = false)
     ?(strategy = Allocator.Chow)
-    ?(profile = fun (_ : string) -> (None : float array option)) ?(jobs = 1)
-    ?pool ?explain (config : Machine.config) (prog : Ir.prog) =
+    ?(profile = fun (_ : string) -> (None : float array option)) ?explain
+    (config : Machine.config) (prog : Ir.prog) =
   let callgraph = Callgraph.build prog in
   let usage = Usage.create_table () in
   let results = ref [] in
   let stats = ref [] in
-  let allocate_one ~wave_idx name =
-    match Ir.find_proc prog name with
-    | None -> None
-    | Some p ->
-        let is_open = (not ipra) || Callgraph.is_open callgraph name in
-        let mode = { Coloring.ipra; shrinkwrap; is_open; usage } in
-        let weights = profile name in
-        let explain =
-          match explain with
-          | Some (target, buf) when target = name -> Some buf
-          | _ -> None
-        in
-        let result, info, st =
-          (* the span name and args are built only when tracing is armed:
-             the disabled path must not allocate per procedure *)
-          if Trace.is_on () then
-            Trace.span
-              ~args:
-                [
-                  ("wave", Trace.Int wave_idx);
-                  ("open", Trace.Str (if is_open then "yes" else "no"));
-                ]
-              ("alloc:" ^ name)
-              (fun () ->
-                Allocator.allocate strategy ?weights ?explain config mode p)
-          else Allocator.allocate strategy ?weights ?explain config mode p
-        in
-        Some (name, result, info, st)
-  in
-  let run pool =
-    List.iteri
-      (fun wave_idx wave ->
-        Metrics.incr m_waves;
-        let do_wave () =
-          let allocated =
-            Pool.parallel_map pool wave (allocate_one ~wave_idx)
+  List.iter
+    (fun name ->
+      match Ir.find_proc prog name with
+      | None -> ()
+      | Some p ->
+          let is_open = (not ipra) || Callgraph.is_open callgraph name in
+          let mode = { Coloring.ipra; shrinkwrap; is_open; usage } in
+          let weights = profile name in
+          let explain =
+            match explain with
+            | Some (target, buf) when target = name -> Some buf
+            | _ -> None
           in
-          (* sequential publication, in processing order *)
-          List.iter
-            (function
-              | None -> ()
-              | Some (name, result, info, st) ->
-                  results := (name, result) :: !results;
-                  stats := (name, st) :: !stats;
-                  Option.iter
-                    (fun i ->
-                      Usage.publish usage name i;
-                      Metrics.incr m_masks)
-                    info)
-            allocated
-        in
-        if Trace.is_on () then
-          Trace.span
-            ~args:
-              [
-                ("wave", Trace.Int wave_idx);
-                ("procs", Trace.Int (List.length wave));
-              ]
-            "wave" do_wave
-        else do_wave ())
-      (Callgraph.waves callgraph)
-  in
-  (match pool with
-  | Some p -> run p
-  | None -> Pool.with_pool jobs run);
+          let result, info, st =
+            (* the span name and args are built only when tracing is armed:
+               the disabled path must not allocate per procedure *)
+            if Trace.is_on () then
+              Trace.span
+                ~args:[ ("open", Trace.Str (if is_open then "yes" else "no")) ]
+                ("alloc:" ^ name)
+                (fun () ->
+                  Allocator.allocate strategy ?weights ?explain config mode p)
+            else Allocator.allocate strategy ?weights ?explain config mode p
+          in
+          results := (name, result) :: !results;
+          stats := (name, st) :: !stats;
+          Option.iter
+            (fun i ->
+              Usage.publish usage name i;
+              Metrics.incr m_masks)
+            info)
+    (Callgraph.processing_order callgraph);
   {
     results = List.rev !results;
     usage;

@@ -13,25 +13,20 @@ type t = {
 
 val find : t -> string -> Alloc_types.result option
 
-(** [allocate_program ?ipra ?shrinkwrap ?profile ?jobs ?pool config prog].
-    [profile] optionally supplies measured block frequencies per procedure
-    (§8 future work); procedures without one keep the static loop-depth
-    estimates.  Each call-graph wave is colored concurrently: [jobs] sets
-    the parallelism of a pool created for this call (default 1 —
-    sequential), while [pool] supplies a shared pool instead (and [jobs]
-    is ignored).  The result is bit-for-bit independent of the
-    parallelism.  [explain] names one procedure whose allocation decisions
-    are recorded into the supplied {!Coloring.explanation} buffer.
-    [strategy] selects the allocation policy (default {!Allocator.Chow});
-    every strategy publishes usage summaries through the same
-    contract. *)
+(** [allocate_program ?ipra ?shrinkwrap ?profile config prog] allocates
+    and publishes each procedure in turn, in
+    {!Callgraph.processing_order}.  [profile] optionally supplies measured
+    block frequencies per procedure (§8 future work); procedures without
+    one keep the static loop-depth estimates.  [explain] names one
+    procedure whose allocation decisions are recorded into the supplied
+    {!Coloring.explanation} buffer.  [strategy] selects the allocation
+    policy (default {!Allocator.Chow}); every strategy publishes usage
+    summaries through the same contract. *)
 val allocate_program :
   ?ipra:bool ->
   ?shrinkwrap:bool ->
   ?strategy:Allocator.strategy ->
   ?profile:(string -> float array option) ->
-  ?jobs:int ->
-  ?pool:Chow_support.Pool.t ->
   ?explain:string * Coloring.explanation ->
   Chow_machine.Machine.config ->
   Chow_ir.Ir.prog ->

@@ -8,8 +8,8 @@
     paths is literally zero.
 
     Atomic addition commutes, so counter totals are bit-identical for any
-    parallel schedule as long as the work itself is deterministic, which the
-    wave-parallel allocator guarantees for every [-j]. *)
+    schedule of the daemon's worker domains as long as the work itself is
+    deterministic. *)
 
 type counter
 type gauge

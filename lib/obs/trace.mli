@@ -5,7 +5,7 @@
     called (the zero-overhead-when-disabled contract).  When enabled, each
     domain appends events to its own domain-local buffer — no cross-domain
     synchronisation on the recording path, so tracing never perturbs the
-    wave-parallel allocator's schedule or its [-j] determinism — and
+    daemon's concurrent worker domains — and
     {!write} merges the buffers into one JSON array that Chrome's
     [about:tracing] / Perfetto loads directly. *)
 

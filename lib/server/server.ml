@@ -195,14 +195,12 @@ let flight_dump ~path reason =
 
 let config_of ~o3 ~shrinkwrap ~alloc =
   {
-    Config.name =
+    Config.baseline with
+    name =
       Printf.sprintf "%s%s" (if o3 then "-O3" else "-O2")
         (if shrinkwrap then "+sw" else "");
     ipra = o3;
     shrinkwrap;
-    machine = Machine.full;
-    (* worker parallelism is across requests; within one it is sequential *)
-    jobs = 1;
     alloc;
   }
 

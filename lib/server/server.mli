@@ -79,8 +79,10 @@ type t
     [telemetry_path] arms the continuous sampler: one JSON line per
     [sample_interval] seconds (default 1s), rotated after
     [telemetry_max_lines] lines (default 10_000).  The compile
-    configuration is per-request; worker parallelism is across requests,
-    so each request compiles with [jobs = 1]. *)
+    configuration is per-request; parallelism is across requests, each
+    compiled sequentially on its worker domain.  Raises
+    [Invalid_argument] when [workers] or [queue_bound] is below 1, or
+    [cache_shards] is below 1 with a [cache_dir]. *)
 val create :
   ?workers:int ->
   ?queue_bound:int ->

@@ -14,7 +14,7 @@
     base) and the per-call register snapshots live in one flat int buffer
     indexed by frame; both grow geometrically and are reused across the
     run.  The decoded engine is behaviourally identical to
-    {!Sim.run_reference} — same outcomes, counters, block profiles and
+    {!Sim.run_reference} — same outcomes, counters, per-pc profiles and
     [Runtime_error] messages — which the differential test suite enforces
     on every workload and on random programs.
 
@@ -52,13 +52,9 @@ type outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise *)
-  proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (in address order, with a
-          ["<stub>"] entry for startup code when it executed), when run
-          with [profile = true]; empty otherwise *)
+  pc_counts : int array;
+      (** execution count of each pc, when run with [profile = true];
+          empty otherwise *)
 }
 
 (* Opcode numbering: dense from 0 so the dispatch match compiles to a jump
@@ -230,12 +226,12 @@ let proc_name_of (prog : Asm.program) pc =
 (** [attribute_cycles prog pc_counts] folds a per-pc execution profile into
     per-procedure cycle totals, in address order.  Cycles spent before the
     first procedure entry (the startup stub) are reported under
-    ["<stub>"] when nonzero. *)
+    ["<stub>"] when nonzero.  An empty profile attributes nothing. *)
 let attribute_cycles (prog : Asm.program) (pc_counts : int array) :
     (string * int) list =
   let entries, names = Asm.proc_table prog in
   let n = Array.length entries in
-  if n = 0 then []
+  if n = 0 || Array.length pc_counts = 0 then []
   else begin
     let ncode = Array.length pc_counts in
     let sum lo hi =
@@ -254,6 +250,12 @@ let attribute_cycles (prog : Asm.program) (pc_counts : int array) :
     if stub > 0 then ("<stub>", stub) :: procs else procs
   end
 
+(** [block_counts prog o] is the execution count of each basic block of
+    [prog], read off [o]'s per-pc profile; empty when [o] carries none. *)
+let block_counts (prog : Asm.program) (o : outcome) =
+  if Array.length o.pc_counts = 0 then []
+  else List.map (fun (pc, key) -> (key, o.pc_counts.(pc))) prog.Asm.block_pcs
+
 (* counter handles shared by both engines: same names, same totals *)
 let m_runs = Metrics.counter "sim.runs"
 let m_cycles = Metrics.counter "sim.cycles"
@@ -270,7 +272,7 @@ let m_call_save_stores = Metrics.counter "sim.call_save_stores"
 (** Publish an outcome's counters into the metrics registry (used by both
     engines after a completed run, so the totals match whichever engine
     executed). *)
-let publish_metrics (o : outcome) =
+let publish_metrics (prog : Asm.program) (o : outcome) =
   if Metrics.is_on () then begin
     Metrics.incr m_runs;
     Metrics.add m_cycles o.cycles;
@@ -286,26 +288,15 @@ let publish_metrics (o : outcome) =
     List.iter
       (fun (name, c) ->
         Metrics.add (Metrics.counter ("sim.proc_cycles/" ^ name)) c)
-      o.proc_cycles
+      (attribute_cycles prog o.pc_counts)
   end
 
 let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
-    ?(profile = false) ?hooks ?pc_buf (t : t) : outcome =
+    ?(profile = false) ?hooks (t : t) : outcome =
   let prog = t.prog in
   let ops = t.ops and fa = t.fa and fb = t.fb and fc = t.fc in
   let ncode = Array.length ops in
-  (* a caller-supplied buffer makes per-pc counts observable without
-     adding fields to the outcome; [profile] alone uses a private one *)
-  let count_pcs = profile || pc_buf <> None in
-  let pc_counts =
-    match pc_buf with
-    | Some a ->
-        if Array.length a < ncode then
-          invalid_arg "Decode.execute: pc_buf shorter than the code";
-        Array.fill a 0 (Array.length a) 0;
-        a
-    | None -> if profile then Array.make ncode 0 else [||]
-  in
+  let pc_counts = if profile then Array.make ncode 0 else [||] in
   let mem = Array.make mem_words 0 in
   List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
   (* one extra slot past the register file: the dump target for writes to
@@ -453,7 +444,7 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
         (attribute_pc t.entries t.names !pc);
     let i = !pc in
     if i < 0 || i >= ncode then error "pc out of range: %d" i;
-    if count_pcs then pc_counts.(i) <- pc_counts.(i) + 1;
+    if profile then pc_counts.(i) <- pc_counts.(i) + 1;
     incr cycles;
     let next = i + 1 in
     let a = Array.unsafe_get fa i
@@ -661,14 +652,6 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
           (attribute_pc t.entries t.names i)
     | _ -> assert false
   done;
-  let block_counts =
-    if profile then
-      List.map (fun (pc, key) -> (key, pc_counts.(pc))) prog.Asm.block_pcs
-    else []
-  in
-  let proc_cycles =
-    if profile then attribute_cycles prog pc_counts else []
-  in
   let outcome =
     {
       output = List.rev !output;
@@ -682,9 +665,8 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
       save_stores = stores.(2) + stores.(3);
       call_save_loads = loads.(3);
       call_save_stores = stores.(3);
-      block_counts;
-      proc_cycles;
+      pc_counts;
     }
   in
-  publish_metrics outcome;
+  publish_metrics prog outcome;
   outcome

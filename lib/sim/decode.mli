@@ -30,13 +30,10 @@ type outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Chow_ir.Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise *)
-  proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (in address order, with a
-          ["<stub>"] entry for startup code when it executed), when run
-          with [profile = true]; empty otherwise *)
+  pc_counts : int array;
+      (** execution count of each pc, when run with [profile = true];
+          empty otherwise.  {!block_counts} and {!attribute_cycles} derive
+          the per-block and per-procedure views from it. *)
 }
 
 type t
@@ -77,15 +74,10 @@ val execute :
   ?check:bool ->
   ?profile:bool ->
   ?hooks:hooks ->
-  ?pc_buf:int array ->
   t ->
   outcome
 (** Interpret a decoded program; parameters and semantics exactly as
-    {!Sim.run}.  [hooks] installs the call-path probes above.  [pc_buf]
-    supplies a buffer (at least as long as the code) that receives the
-    per-pc execution counts — it is zeroed on entry and filled whether or
-    not [profile] is set, letting a profiler read the counts without the
-    outcome carrying them. *)
+    {!Sim.run}.  [hooks] installs the call-path probes above. *)
 
 val proc_name_of : Chow_codegen.Asm.program -> int -> string
 (** The procedure containing the given pc (nearest entry at or below it),
@@ -96,10 +88,19 @@ val proc_name_of : Chow_codegen.Asm.program -> int -> string
 val attribute_cycles :
   Chow_codegen.Asm.program -> int array -> (string * int) list
 (** Fold a per-pc execution profile into per-procedure cycle totals in
-    address order, a ["<stub>"] entry prepended when startup code ran.
-    Shared by both engines so their attributions agree exactly. *)
+    address order, a ["<stub>"] entry prepended when startup code ran;
+    empty for an empty profile.  Shared by both engines so their
+    attributions agree exactly. *)
 
-val publish_metrics : outcome -> unit
+val block_counts :
+  Chow_codegen.Asm.program ->
+  outcome ->
+  ((string * Chow_ir.Ir.label) * int) list
+(** The execution count of each basic block, read off the outcome's
+    [pc_counts]; empty when the run was not profiled. *)
+
+val publish_metrics : Chow_codegen.Asm.program -> outcome -> unit
 (** Publish a completed run's counters into {!Chow_obs.Metrics} (a no-op
-    while metrics are disabled).  Both engines call this with the same
-    counter names. *)
+    while metrics are disabled), with per-procedure cycles under
+    [sim.proc_cycles/NAME] when the run was profiled.  Both engines call
+    this with the same counter names. *)

@@ -136,7 +136,6 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   let entries, names = Asm.proc_table prog in
   let proc_at pc = lookup entries names pc in
   let t = Trace.span "decode" (fun () -> Decode.decode prog) in
-  let pc_buf = Array.make (max ncode 1) 0 in
   (* ----- call-tree nodes, id order = creation order (parents first) ----- *)
   let cap = ref 64 in
   let grow r pad n =
@@ -284,7 +283,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   in
   let outcome =
     Trace.span "sim-profile" (fun () ->
-        Decode.execute ?fuel ?mem_words ?check ~profile:true ~hooks ~pc_buf t)
+        Decode.execute ?fuel ?mem_words ?check ~profile:true ~hooks t)
   in
   (* the final segment (last boundary to halt) and frames still live at
      halt, settled from the outcome's final totals *)
@@ -306,7 +305,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   let site_ar = Array.make (max ncode 1) 0 in
   let site_calls = Array.make (max ncode 1) 0 in
   for pc = 0 to ncode - 1 do
-    let k = pc_buf.(pc) in
+    let k = outcome.Decode.pc_counts.(pc) in
     if k > 0 then
       match code.(pc) with
       | Asm.Lw (_, _, _, Asm.Tsave) -> c_xr := !c_xr + k

@@ -23,7 +23,7 @@
     an allocation-free contract checker.  {!run_reference} is the original
     direct interpreter over {!Asm.inst} variants, retained as the
     executable specification; the differential test suite holds the two to
-    identical outcomes — outputs, cycle counts, per-tag traffic, block
+    identical outcomes — outputs, cycle counts, per-tag traffic, per-pc
     profiles and [Runtime_error] messages — on every workload and on
     random programs. *)
 
@@ -56,14 +56,10 @@ type outcome = Decode.outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Ir.label) * int) list;
-      (** execution count of each basic block, when run with
-          [profile = true]; empty otherwise.  The raw material for the
-          profile-feedback extension (§8 "future work"). *)
-  proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (address order, ["<stub>"]
-          first when startup code ran), when run with [profile = true];
-          empty otherwise *)
+  pc_counts : int array;
+      (** execution count of each pc, when run with [profile = true];
+          empty otherwise.  The raw material for the profile-feedback
+          extension (§8 "future work"). *)
 }
 
 (** Pending activation for the contract checker (reference engine; the
@@ -233,11 +229,6 @@ let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
     | Asm.Print r -> output := get r :: !output; pc := next
     | Asm.Halt -> running := false)
   done;
-  let block_counts =
-    if profile then
-      List.map (fun (pc, key) -> (key, pc_counts.(pc))) prog.Asm.block_pcs
-    else []
-  in
   let l = counters.loads and s = counters.stores in
   let outcome =
     {
@@ -252,12 +243,10 @@ let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
       save_stores = s.(2) + s.(3);
       call_save_loads = l.(3);
       call_save_stores = s.(3);
-      block_counts;
-      proc_cycles =
-        (if profile then Decode.attribute_cycles prog pc_counts else []);
+      pc_counts;
     }
   in
-  Decode.publish_metrics outcome;
+  Decode.publish_metrics prog outcome;
   outcome
 
 (** The default engine: pre-decode once, then interpret the specialized

@@ -22,13 +22,11 @@ type outcome = Decode.outcome = {
   save_stores : int;
   call_save_loads : int;  (** the around-call subset of [save_loads] *)
   call_save_stores : int;
-  block_counts : ((string * Chow_ir.Ir.label) * int) list;
-      (** per-block execution counts when run with [profile = true];
-          empty otherwise *)
-  proc_cycles : (string * int) list;
-      (** cycles attributed to each procedure (address order, ["<stub>"]
-          first when startup code ran), when run with [profile = true];
-          empty otherwise.  Both engines attribute identically. *)
+  pc_counts : int array;
+      (** per-pc execution counts when run with [profile = true]; empty
+          otherwise.  Both engines count identically;
+          {!Decode.block_counts} and {!Decode.attribute_cycles} fold them
+          per block and per procedure. *)
 }
 
 (** [run prog] executes until [halt].
@@ -38,7 +36,7 @@ type outcome = Decode.outcome = {
       usage mask) promises to preserve are unchanged, that the stack
       pointer is balanced, and that control returns to the call site; it
       also rejects calls that do not land on a procedure entry.
-    - [profile] (default false) collects per-block execution counts.
+    - [profile] (default false) collects per-pc execution counts.
     - [fuel] bounds executed instructions; [mem_words] sizes memory.
 
     Raises {!Runtime_error} on traps, contract violations, or exhausted

@@ -6,11 +6,7 @@
     strategies may only differ on the axis the paper measures: the
     save/restore and spill-home memory traffic, where priority coloring
     must never lose to the spill-everywhere zero point (and must beat it
-    strictly under -O3+sw).
-
-    A second sweep pins the determinism contract per strategy: compiling
-    with a 4-worker domain pool must produce the same linked image,
-    bit for bit, as the sequential build. *)
+    strictly under -O3+sw). *)
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
@@ -93,39 +89,10 @@ let test_workload (w : W.t) () =
           (penalty chow < penalty spill))
     configs
 
-(* -j1 vs -j4: the wave-parallel driver must be invisible in the output
-   whatever the strategy decides *)
-let test_determinism strategy () =
-  List.iter
-    (fun wname ->
-      let src =
-        match W.find wname with
-        | Some w -> w.W.source
-        | None -> Alcotest.fail ("unknown workload " ^ wname)
-      in
-      let image jobs =
-        let config =
-          Config.with_alloc strategy (Config.with_jobs jobs Config.o3_sw)
-        in
-        Pipeline.program (Pipeline.compile_source config (Pipeline.Src src))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s/%s: -j1 and -j4 images bit-identical" wname
-           (Allocator.to_string strategy))
-        true
-        (image 1 = image 4))
-    [ "nim"; "dhrystone"; "stanford" ]
-
 let suite =
   ( "alloc-strategies",
     List.map
       (fun w ->
         Alcotest.test_case ("differential: " ^ w.W.name) `Slow
           (test_workload w))
-      W.all
-    @ List.map
-        (fun s ->
-          Alcotest.test_case
-            ("determinism -j1 vs -j4: " ^ Allocator.to_string s)
-            `Slow (test_determinism s))
-        Allocator.all )
+      W.all )

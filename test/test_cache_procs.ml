@@ -52,8 +52,7 @@ let test_concurrent_processes () =
   let dir = Filename.temp_file "chow88-procs" ".cache" in
   Sys.remove dir;
   let cache = Cache.create ~shards:4 ~dir () in
-  (* jobs = 1 in every stock config: no domains, so the fork below is
-     legal *)
+  (* compiling never spawns a domain, so the fork below is legal *)
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
   match Unix.fork () with

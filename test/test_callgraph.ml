@@ -4,6 +4,7 @@
 module Ir = Chow_ir.Ir
 module Lower = Chow_frontend.Lower
 module Callgraph = Chow_core.Callgraph
+module W = Chow_workloads.Workloads
 
 let build src = Callgraph.build (Lower.compile_unit src)
 
@@ -115,6 +116,61 @@ proc main() { print(entry(5)); }
   in
   Alcotest.(check bool) "cycle before entry" true (pos "a" < pos "entry")
 
+(* The property IPRA's one pass rests on: every callee outside a
+   procedure's own strongly-connected component comes before it in
+   [processing_order], so its usage summary is published first.  A callee
+   at or after its caller must be able to reach the caller back (same
+   component), and then both ends are open and never read each other's
+   summary. *)
+let check_callees_first prog_name (prog : Ir.prog) =
+  let cg = Callgraph.build prog in
+  let order = Callgraph.processing_order cg in
+  Alcotest.(check (list string))
+    (prog_name ^ ": order is a permutation of the procedures")
+    (List.sort compare (List.map (fun p -> p.Ir.pname) prog.Ir.procs))
+    (List.sort compare order);
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i n -> Hashtbl.replace pos n i) order;
+  let reaches src dst =
+    let seen = Hashtbl.create 16 in
+    let rec go n =
+      n = dst
+      || (not (Hashtbl.mem seen n))
+         && begin
+              Hashtbl.replace seen n ();
+              List.exists go (Callgraph.direct_callees cg n)
+            end
+    in
+    go src
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun callee ->
+          if Hashtbl.find pos callee >= Hashtbl.find pos name then begin
+            if not (reaches callee name) then
+              Alcotest.failf "%s: callee %s of %s is not ordered first"
+                prog_name callee name;
+            if not (Callgraph.is_open cg name && Callgraph.is_open cg callee)
+            then
+              Alcotest.failf "%s: recursive edge %s -> %s has a closed end"
+                prog_name name callee
+          end)
+        (Callgraph.direct_callees cg name))
+    order
+
+let test_callees_first_workloads () =
+  List.iter
+    (fun w -> check_callees_first w.W.name (Lower.compile_unit w.W.source))
+    W.all
+
+let test_callees_first_genprog () =
+  for seed = 0 to 19 do
+    check_callees_first
+      (Printf.sprintf "genprog seed %d" seed)
+      (Lower.compile_unit (Genprog.generate ~seed ()))
+  done
+
 let suite =
   ( "callgraph",
     [
@@ -128,4 +184,8 @@ let suite =
       Alcotest.test_case "extern callees" `Quick
         test_extern_calls_ignored_in_graph;
       Alcotest.test_case "three-procedure cycle" `Quick test_scc_big_cycle;
+      Alcotest.test_case "workloads: callees come first" `Quick
+        test_callees_first_workloads;
+      Alcotest.test_case "genprog: callees come first" `Quick
+        test_callees_first_genprog;
     ] )

@@ -37,28 +37,19 @@ let tiny_configs =
   [
     Config.baseline;
     {
-      Config.name = "tiny-2caller";
-      ipra = true;
-      shrinkwrap = true;
+      Config.o3_sw with
+      name = "tiny-2caller";
       machine = Machine.restrict ~n_caller:2 ~n_callee:0 ~n_param:2;
-      jobs = 1;
-      alloc = Chow_core.Allocator.Chow;
     };
     {
-      Config.name = "tiny-1callee";
-      ipra = true;
-      shrinkwrap = true;
+      Config.o3_sw with
+      name = "tiny-1callee";
       machine = Machine.restrict ~n_caller:0 ~n_callee:1 ~n_param:0;
-      jobs = 1;
-      alloc = Chow_core.Allocator.Chow;
     };
     {
-      Config.name = "tiny-1caller-nosw";
-      ipra = false;
-      shrinkwrap = false;
+      Config.baseline with
+      name = "tiny-1caller-nosw";
       machine = Machine.restrict ~n_caller:1 ~n_callee:1 ~n_param:1;
-      jobs = 1;
-      alloc = Chow_core.Allocator.Chow;
     };
   ]
 

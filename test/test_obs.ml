@@ -1,7 +1,7 @@
 (** Observability suite: the Chrome trace writer (well-formed JSON, spans
     properly nested per timeline, the expected pipeline phases present),
     the metrics registry (disabled no-op, counter/gauge/histogram
-    behaviour, both percentile semantics, [-j] determinism of the dump),
+    behaviour, both percentile semantics, concurrent gauge updates),
     the OpenMetrics exporter (golden page), the time-series sampler (ring
     rotation, sample shape), and the [--explain] report (golden output
     for a §2-style program). *)
@@ -15,6 +15,7 @@ module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Coloring = Chow_core.Coloring
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 module W = Chow_workloads.Workloads
 
 let source_of name =
@@ -103,7 +104,7 @@ let test_trace_pipeline () =
   Trace.reset ();
   Trace.enable ();
   let compiled =
-    Pipeline.compile_source (Config.with_jobs 4 Config.o3_sw) (Pipeline.Src (source_of "nim"))
+    Pipeline.compile_source Config.o3_sw (Pipeline.Src (source_of "nim"))
   in
   ignore (Sim.run (Pipeline.program compiled));
   Trace.disable ();
@@ -124,7 +125,6 @@ let test_trace_pipeline () =
       "layout";
       "allocate";
       "allocate-unit";
-      "wave";
       "liveness";
       "ranges";
       "interference";
@@ -135,7 +135,6 @@ let test_trace_pipeline () =
       "decode";
       "sim";
     ];
-  (* per-procedure spans carry their wave tag *)
   Alcotest.(check bool)
     "a per-procedure alloc span exists" true
     (List.exists
@@ -341,24 +340,6 @@ let test_metrics_bucket_order () =
   Alcotest.(check (list int))
     "ascending thresholds" [ 1; 2; 4; 16; 32; 4096 ] buckets
 
-(** Compile the same program at [-j1] and [-j4] with metrics armed: the
-    dumps must be bit-identical (atomic adds commute; the allocation work
-    itself is schedule-independent). *)
-let test_metrics_parallel_deterministic () =
-  let uopt = source_of "uopt" in
-  let dump_with jobs =
-    Metrics.reset ();
-    Metrics.enable ();
-    ignore (Pipeline.compile_source (Config.with_jobs jobs Config.o3_sw) (Pipeline.Src uopt));
-    Metrics.disable ();
-    let d = Metrics.dump () in
-    Metrics.reset ();
-    d
-  in
-  let d1 = dump_with 1 in
-  let d4 = dump_with 4 in
-  Alcotest.(check (list (pair string int))) "-j1 = -j4 metrics" d1 d4
-
 let test_sim_metrics_match_outcome () =
   Metrics.reset ();
   Metrics.enable ();
@@ -380,7 +361,7 @@ let test_sim_metrics_match_outcome () =
         ("sim.proc_cycles/" ^ name)
         (Some c)
         (List.assoc_opt ("sim.proc_cycles/" ^ name) dump))
-    o.Sim.proc_cycles
+    (Decode.attribute_cycles (Pipeline.program compiled) o.Sim.pc_counts)
 
 (* ----- gauges ----- *)
 
@@ -431,9 +412,9 @@ let test_gauge_disabled_allocates_nothing () =
     (allocated < float_of_int iters /. 100.)
 
 (** [gauge_add] commutes, so inc/dec traffic from 4 concurrent domains
-    must land on the same final level — and the same dump bytes — as the
-    serial equivalent, the property that makes gauge rows safe inside the
-    [-j]-deterministic dump. *)
+    (the daemon's worker domains share one registry) must land on the
+    same final level — and the same dump bytes — as the serial
+    equivalent. *)
 let test_gauge_multi_domain_deterministic () =
   let per_domain = 10_000 in
   let run domains =
@@ -709,8 +690,6 @@ let suite =
         `Quick test_metrics_bucket_rows_and_percentile;
       Alcotest.test_case "metrics: numeric bucket order" `Quick
         test_metrics_bucket_order;
-      Alcotest.test_case "metrics: -j1 and -j4 dumps identical" `Quick
-        test_metrics_parallel_deterministic;
       Alcotest.test_case "metrics: sim counters match outcome" `Quick
         test_sim_metrics_match_outcome;
       Alcotest.test_case "gauges: set/add levels" `Quick test_gauge_levels;

@@ -1,9 +1,9 @@
-(** Tests for the dynamic penalty profiler (lib/sim/profile.ml): parallel
-    determinism, agreement with the reference engine's counters, the
-    per-site table summing to the global totals, call-tree invariants, a
-    golden report on a small fixed program, and the paper's headline
-    property — -O3+sw executes strictly fewer save/restore memory
-    operations than -O2 on the largest workload. *)
+(** Tests for the dynamic penalty profiler (lib/sim/profile.ml):
+    determinism across concurrent domains, agreement with the reference
+    engine's counters, the per-site table summing to the global totals,
+    call-tree invariants, a golden report on a small fixed program, and
+    the paper's headline property — -O3+sw executes strictly fewer
+    save/restore memory operations than -O2 on the largest workload. *)
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
@@ -27,17 +27,20 @@ let uopt_o2 = lazy (profile_of ~config:Config.baseline (source_of "uopt"))
 
 let strip (r : Profile.report) = (r.Profile.counters, r.Profile.sites)
 
-(** The profile is a function of the program alone: a -j1 and a -j4
-    compile of the same source must profile identically — counters, site
-    table, and the entire call tree. *)
+(** The profile is a function of the program alone, also when the
+    daemon's worker domains compile and profile concurrently: profiles
+    taken on several domains at once equal the sequential one —
+    counters, site table, and the entire call tree. *)
 let test_parallel_deterministic () =
   let src = source_of "uopt" in
-  let r4 = profile_of ~config:(Config.with_jobs 4 Config.o3_sw) src in
   let r1 = Lazy.force uopt_o3sw in
-  Alcotest.(check bool) "counters and sites equal" true
-    (strip r1 = strip r4);
-  Alcotest.(check bool) "call trees equal" true
-    (r1.Profile.calltree = r4.Profile.calltree)
+  List.iter
+    (fun (r : Profile.report) ->
+      Alcotest.(check bool) "counters and sites equal" true
+        (strip r1 = strip r);
+      Alcotest.(check bool) "call trees equal" true
+        (r1.Profile.calltree = r.Profile.calltree))
+    (Test_parallel.on_domains (fun () -> profile_of src))
 
 (** The profiler's classification must reproduce the reference engine's
     per-tag totals: the two runs share no code beyond the program. *)

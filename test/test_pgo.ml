@@ -4,8 +4,8 @@
     configuration) are rejected as [Profile]-phase diagnostics; the
     cache key absorbs the profile digest and the inline budget; and the
     optimization itself never changes observable behavior — across every
-    workload at -O2 and -O3+sw, under -j1/-j4, and over a stream of
-    generated programs. *)
+    workload at -O2 and -O3+sw, across concurrent domains, and over a
+    stream of generated programs. *)
 
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
@@ -152,10 +152,14 @@ let test_rejects_stale () =
   expect_profile_error "corrupt file" (fun () ->
       Pipeline.load_pgo ~config:Config.o3_sw ~srcs:[ tiny_src ] path);
   Sys.remove path;
-  (* and a non-positive budget is a programming error, not a diagnostic *)
-  match Pipeline.pgo ~budget:0. ~config:Config.o3_sw ~srcs:[ tiny_src ] a with
-  | _ -> Alcotest.fail "budget 0 accepted"
-  | exception Invalid_argument _ -> ()
+  (* and a non-positive or non-finite budget is a programming error, not a
+     diagnostic *)
+  List.iter
+    (fun budget ->
+      match Pipeline.pgo ~budget ~config:Config.o3_sw ~srcs:[ tiny_src ] a with
+      | _ -> Alcotest.failf "budget %g accepted" budget
+      | exception Invalid_argument _ -> ())
+    [ 0.; -5.; Float.infinity; Float.nan ]
 
 (* ----- cache-key interaction ----- *)
 
@@ -261,20 +265,25 @@ let test_workload (w : W.t) () =
         (opt.Sim.calls <= plain.Sim.calls))
     [ Config.baseline; Config.o3_sw ]
 
-(** The PGO pipeline is deterministic across allocator parallelism: a
-    -j1 and a -j4 build under the same profile link identical images. *)
+(** The PGO pipeline is reentrant, as the daemon's worker domains need:
+    profiling and rebuilding under the profile on several domains at
+    once links the same image as doing it sequentially. *)
 let test_parallel_deterministic () =
   let src =
     match W.find "uopt" with
     | Some w -> w.W.source
     | None -> Alcotest.fail "unknown workload uopt"
   in
-  let image jobs =
-    let config = Config.with_jobs jobs Config.o3_sw in
+  let image () =
+    let config = Config.o3_sw in
     let pgo = pgo_of ~config src in
     Pipeline.program (Pipeline.compile_source ~pgo config (Pipeline.Src src))
   in
-  Alcotest.(check bool) "-j1 = -j4" true (image 1 = image 4)
+  let base = image () in
+  List.iter
+    (fun other ->
+      Alcotest.(check bool) "sequential = concurrent" true (base = other))
+    (Test_parallel.on_domains image)
 
 (** Generated programs: profile-guided inlining must preserve output on
     arbitrary call shapes (recursion, address-taken procedures, wide

@@ -8,6 +8,7 @@ module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Liverange = Chow_core.Liverange
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 
 let src_loopy =
   {|
@@ -25,25 +26,28 @@ proc main() {
 let test_block_counts_collected () =
   let c = Pipeline.compile_source Config.baseline (Pipeline.Src src_loopy) in
   let o = Pipeline.run ~profile:true c in
-  Alcotest.(check bool) "counts present" true (o.Sim.block_counts <> []);
+  let counts = Decode.block_counts (Pipeline.program c) o in
+  Alcotest.(check bool) "counts present" true (counts <> []);
   (* the loop body of main executed 25 times *)
   let body_counts =
     List.filter_map
       (fun ((pname, _), n) -> if pname = "main" then Some n else None)
-      o.Sim.block_counts
+      counts
   in
   Alcotest.(check bool) "some block ran 25 times" true
     (List.mem 25 body_counts);
   (* the entry block ran exactly once *)
   let entry =
-    List.assoc_opt ("main", Ir.entry_label) o.Sim.block_counts
+    List.assoc_opt ("main", Ir.entry_label) counts
   in
   Alcotest.(check (option int)) "entry once" (Some 1) entry
 
 let test_no_profile_no_counts () =
   let c = Pipeline.compile_source Config.baseline (Pipeline.Src src_loopy) in
   let o = Pipeline.run c in
-  Alcotest.(check bool) "no counts by default" true (o.Sim.block_counts = [])
+  Alcotest.(check bool) "no counts by default" true (o.Sim.pc_counts = [||]);
+  Alcotest.(check bool) "no blocks by default" true
+    (Decode.block_counts (Pipeline.program c) o = [])
 
 let test_weights_normalisation () =
   let w = Liverange.weights_of_profile [| 2.; 50.; 0. |] in
@@ -89,12 +93,9 @@ proc main() {
 
 let small_config =
   {
-    Config.name = "small";
-    ipra = true;
-    shrinkwrap = true;
+    Config.o3_sw with
+    name = "small";
     machine = Machine.restrict ~n_caller:2 ~n_callee:1 ~n_param:2;
-    jobs = 1;
-    alloc = Chow_core.Allocator.Chow;
   }
 
 let test_profile_preserves_behaviour () =

@@ -722,17 +722,18 @@ let test_flight_dump_during_write () =
    from a broken request.  Driven against a fake daemon that answers
    every compile with [Busy]: the real admission queue can't be wedged
    deterministically from outside. *)
+(* [dune runtest] runs this binary from the test directory, [dune exec]
+   from the workspace root — find the CLI from either *)
+let pawnc_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/pawnc.exe"; "_build/default/bin/pawnc.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "pawnc binary not built (dune deps?)"
+
 let test_request_busy_exits_3 () =
-  (* [dune runtest] runs this binary from the test directory,
-     [dune exec] from the workspace root — find the CLI from either *)
-  let pawnc =
-    match
-      List.find_opt Sys.file_exists
-        [ "../bin/pawnc.exe"; "_build/default/bin/pawnc.exe" ]
-    with
-    | Some p -> p
-    | None -> Alcotest.fail "pawnc binary not built (dune deps?)"
-  in
+  let pawnc = pawnc_exe () in
   let dir = fresh_dir "busy3" in
   let socket_path = Filename.concat dir "s.sock" in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -763,6 +764,59 @@ let test_request_busy_exits_3 () =
       in
       Thread.join fake_daemon;
       Alcotest.(check int) "Busy exits 3" 3 code)
+
+(* Out-of-range numeric options are command-line errors: exit 2 with a
+   message naming the option, never an uncaught exception (exit 125), a
+   silently ignored value, or a daemon that starts with a dead sampler.
+   [timeout] turns a regression that lets [serve] start into a failing
+   exit code instead of a hung test. *)
+let test_cli_rejects_out_of_range () =
+  let pawnc = pawnc_exe () in
+  let dir = fresh_dir "cli-range" in
+  let src = Filename.concat dir "x.p" in
+  let oc = open_out src in
+  output_string oc good_src;
+  close_out oc;
+  let sock = Filename.concat dir "s.sock" in
+  let err = Filename.concat dir "err.txt" in
+  List.iter
+    (fun (option, args) ->
+      let code =
+        Sys.command
+          (Printf.sprintf "timeout 10 %s %s >/dev/null 2>%s"
+             (Filename.quote pawnc) args (Filename.quote err))
+      in
+      Alcotest.(check int) (args ^ ": exit code") 2 code;
+      let ic = open_in err in
+      let msg = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let names =
+        try
+          ignore (Str.search_forward (Str.regexp_string option) msg 0);
+          true
+        with Not_found -> false
+      in
+      if not names then
+        Alcotest.failf "%s: message does not name %s: %s" args option msg)
+    [
+      ("--inline-budget", "run " ^ src ^ " --inline-budget=-5");
+      ("--inline-budget", "run " ^ src ^ " --inline-budget=0");
+      ("--inline-budget", "run " ^ src ^ " --inline-budget=inf");
+      ("--inline-budget", "build " ^ src ^ " --inline-budget=nan");
+      ("--workers", "serve --socket " ^ sock ^ " --workers 0");
+      ("--queue-bound", "serve --socket " ^ sock ^ " --queue-bound 0");
+      ("--queue-bound", "serve --socket " ^ sock ^ " --queue-bound=-1");
+      ( "--shards",
+        "serve --socket " ^ sock ^ " --cache-dir " ^ Filename.concat dir "c"
+        ^ " --shards 0" );
+      ( "--sample-interval",
+        "serve --socket " ^ sock ^ " --telemetry "
+        ^ Filename.concat dir "t.jsonl" ^ " --sample-interval nan" );
+      ("--sample-interval", "serve --socket " ^ sock ^ " --sample-interval 0");
+      ("--max-entries", "serve --socket " ^ sock ^ " --max-entries 0");
+      ("--telemetry-lines", "serve --socket " ^ sock ^ " --telemetry-lines 0");
+      ("--interval", "top --socket " ^ sock ^ " --interval nan");
+    ]
 
 (* ----- shard routing ----- *)
 
@@ -847,6 +901,8 @@ let suite =
         `Quick test_flight_dump_during_write;
       Alcotest.test_case "client: Busy exits with code 3" `Quick
         test_request_busy_exits_3;
+      Alcotest.test_case "cli: out-of-range options exit 2" `Quick
+        test_cli_rejects_out_of_range;
       Alcotest.test_case "cache: shard routing deterministic and spread"
         `Quick test_shard_routing;
     ] )

@@ -162,7 +162,7 @@ proc main() { print(forever(0)); }
 let capture f = try Ok (f ()) with Sim.Runtime_error m -> Error m
 
 (** Run both engines on the same program and insist on identical outcomes:
-    output, cycles, calls, per-tag traffic, block profiles — or the very
+    output, cycles, calls, per-tag traffic, per-pc profiles — or the very
     same [Runtime_error] message. *)
 let check_engines_agree ?fuel ?profile name prog =
   let decoded = capture (fun () -> Sim.run ?fuel ?profile prog) in
@@ -188,8 +188,8 @@ let check_engines_agree ?fuel ?profile name prog =
         d.Sim.call_save_loads;
       Alcotest.(check int) (name ^ ": call-save stores") r.Sim.call_save_stores
         d.Sim.call_save_stores;
-      Alcotest.(check bool) (name ^ ": block counts") true
-        (d.Sim.block_counts = r.Sim.block_counts)
+      Alcotest.(check (array int)) (name ^ ": pc counts") r.Sim.pc_counts
+        d.Sim.pc_counts
   | Error d, Error r -> Alcotest.(check string) (name ^ ": error") r d
   | Ok _, Error r ->
       Alcotest.failf "%s: decoded succeeded, reference trapped: %s" name r
@@ -245,7 +245,7 @@ let test_diff_division_by_zero () =
   check_engines_agree "division by zero" prog
 
 let test_diff_profile_counts () =
-  (* unit check that the decoded engine's profile = true block counts equal
+  (* unit check that the decoded engine's profile = true per-pc counts equal
      the reference's, on a real workload *)
   let w = Option.get (Chow_workloads.Workloads.find "nim") in
   let prog =
@@ -254,9 +254,10 @@ let test_diff_profile_counts () =
   in
   let d = Sim.run ~profile:true prog in
   let r = Sim.run_reference ~profile:true prog in
-  Alcotest.(check bool) "profiles nonempty" true (d.Sim.block_counts <> []);
-  Alcotest.(check bool) "profiles equal" true
-    (d.Sim.block_counts = r.Sim.block_counts)
+  Alcotest.(check int) "one count per pc"
+    (Array.length prog.Chow_codegen.Asm.code)
+    (Array.length d.Sim.pc_counts);
+  Alcotest.(check (array int)) "profiles equal" r.Sim.pc_counts d.Sim.pc_counts
 
 (* Random differential testing: compile a random Genprog program, run both
    engines on it, then mutate one instruction of the linked image into a

@@ -2,7 +2,7 @@
     reference engine ({!Sim.run_reference}) on all thirteen workloads,
     under the baseline and the full -O3+sw configurations, with block
     profiling on.  Outcomes must match exactly: output, cycle count,
-    calls, per-tag load/store counters and block profiles.
+    calls, per-tag load/store counters and per-pc profiles.
 
     This is its own test executable (see test/dune) so plain
     [dune runtest] always exercises the engine equivalence even when the
@@ -11,6 +11,7 @@
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 module Sim = Chow_sim.Sim
+module Decode = Chow_sim.Decode
 module W = Chow_workloads.Workloads
 
 let check_agree name (prog : Chow_codegen.Asm.program) =
@@ -29,16 +30,14 @@ let check_agree name (prog : Chow_codegen.Asm.program) =
   Alcotest.(check int) (name ^ ": save loads") r.Sim.save_loads d.Sim.save_loads;
   Alcotest.(check int) (name ^ ": save stores") r.Sim.save_stores
     d.Sim.save_stores;
-  Alcotest.(check bool) (name ^ ": block counts equal") true
-    (d.Sim.block_counts = r.Sim.block_counts);
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": proc cycles")
-    r.Sim.proc_cycles d.Sim.proc_cycles;
+  Alcotest.(check (array int)) (name ^ ": pc counts") r.Sim.pc_counts
+    d.Sim.pc_counts;
   (* attribution is complete: per-procedure cycles sum to the total *)
   Alcotest.(check int)
     (name ^ ": proc cycles sum")
     d.Sim.cycles
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 d.Sim.proc_cycles)
+    (List.fold_left (fun acc (_, c) -> acc + c) 0
+       (Decode.attribute_cycles prog d.Sim.pc_counts))
 
 let test_workload (w : W.t) () =
   List.iter

@@ -12,12 +12,9 @@ module Sim = Chow_sim.Sim
 
 let config_with n =
   {
-    Config.name = Printf.sprintf "%dregs" n;
-    ipra = true;
-    shrinkwrap = true;
+    Config.o3_sw with
+    name = Printf.sprintf "%dregs" n;
     machine = Machine.restrict ~n_caller:(min n 11) ~n_callee:0 ~n_param:0;
-    jobs = 1;
-    alloc = Chow_core.Allocator.Chow;
   }
 
 let splits_of (c : Pipeline.compiled) name =
