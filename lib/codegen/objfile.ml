@@ -428,6 +428,15 @@ let get_payload r : t =
         let addr = get_uvarint r in
         (addr, get_svarint r))
   in
+  if data_base < 0 || data_size < 0 then
+    corrupt "negative data segment (base %d, size %d)" data_base data_size;
+  List.iter
+    (fun (addr, _) ->
+      (* subtracting first keeps a huge base + size from overflowing *)
+      if addr < data_base || addr - data_base >= data_size then
+        corrupt "data initialiser at %d outside the unit's data [%d, %d)" addr
+          data_base (data_base + data_size))
+    data_init;
   let externs = get_list r get_string in
   if r.pos <> r.limit then corrupt "%d trailing payload bytes" (r.limit - r.pos);
   {

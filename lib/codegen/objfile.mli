@@ -59,7 +59,8 @@ type t = {
   o_data_base : int;  (** data-segment offset the unit was laid out at *)
   o_data_size : int;  (** words of static data the unit contributes *)
   o_data_init : (int * int) list;
-      (** non-zero initialisation, at absolute addresses *)
+      (** non-zero initialisation, at absolute addresses inside
+          [\[o_data_base, o_data_base + o_data_size)] *)
   o_externs : string list;
       (** procedures referenced but not defined in this unit, sorted *)
 }
@@ -79,7 +80,8 @@ val contract_check : t -> (unit, string) result
 (** [write t] serializes to bytes (header + checksummed payload). *)
 val write : t -> string
 
-(** [read bytes] deserializes; raises {!Corrupt} on any malformation. *)
+(** [read bytes] deserializes; raises {!Corrupt} on any malformation,
+    including a data initialiser outside the unit's data segment. *)
 val read : string -> t
 
 (** [save ~path t] writes atomically (temp file + rename). *)

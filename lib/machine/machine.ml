@@ -116,3 +116,7 @@ end
 let load_cost = 1
 let store_cost = 1
 let move_cost = 1
+
+(** Simulated memory: 1 Mi words, data from address 0 up, stack down from
+    the top. *)
+let mem_words = 1 lsl 20

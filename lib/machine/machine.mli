@@ -89,3 +89,8 @@ val load_cost : int
 
 val store_cost : int
 val move_cost : int
+
+val mem_words : int
+(** Words of simulated memory, the same for both simulator engines: static
+    data is laid out from address 0 and the stack grows down from
+    [mem_words]. *)

@@ -13,7 +13,11 @@
     set of parallel int arrays (return pc, sp at entry, meta index, snapshot
     base) and the per-call register snapshots live in one flat int buffer
     indexed by frame; both grow geometrically and are reused across the
-    run.  The decoded engine is behaviourally identical to
+    run.
+
+    Memory is paged and materialised lazily (see [load] and [store]), so a
+    run costs the pages it writes rather than a zero-filled 8 MiB array.
+    The decoded engine is behaviourally identical to
     {!Sim.run_reference} — same outcomes, counters, per-pc profiles and
     [Runtime_error] messages — which the differential test suite enforces
     on every workload and on random programs.
@@ -291,14 +295,53 @@ let publish_metrics (prog : Asm.program) (o : outcome) =
       (attribute_cycles prog o.pc_counts)
   end
 
-let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
-    ?(profile = false) ?hooks (t : t) : outcome =
+(* Paged memory.  The [Machine.mem_words] address space is cut into pages
+   of [page_words]; every slot of the page table starts out pointing at one
+   all-zero page, and the first store into a slot gives it a page of its
+   own.  A run so pays for the pages it writes, not for the whole address
+   space.  Every access is bounds-checked against [Machine.mem_words]
+   before it indexes, so the unchecked page index is always in range. *)
+let page_bits = 12
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+let n_pages = (Machine.mem_words + page_mask) lsr page_bits
+
+let[@inline] load (pages : int array array) addr =
+  Array.unsafe_get
+    (Array.unsafe_get pages (addr lsr page_bits))
+    (addr land page_mask)
+
+(* the cold half of [store]: the slot still holds the zero page *)
+let[@inline never] materialise (pages : int array array) addr v =
+  let p = Array.make page_words 0 in
+  pages.(addr lsr page_bits) <- p;
+  p.(addr land page_mask) <- v
+
+let[@inline] store (pages : int array array) zero_page addr v =
+  let p = Array.unsafe_get pages (addr lsr page_bits) in
+  if p == zero_page then materialise pages addr v
+  else Array.unsafe_set p (addr land page_mask) v
+
+let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
+    (t : t) : outcome =
   let prog = t.prog in
   let ops = t.ops and fa = t.fa and fb = t.fb and fc = t.fc in
   let ncode = Array.length ops in
   let pc_counts = if profile then Array.make ncode 0 else [||] in
-  let mem = Array.make mem_words 0 in
-  List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
+  let mem_words = Machine.mem_words in
+  (* one zero page per run: the daemon's worker domains never share it *)
+  let zero_page = Array.make page_words 0 in
+  let pages = Array.make n_pages zero_page in
+  if prog.Asm.data_size < 0 || prog.Asm.data_size > mem_words then
+    error "data segment of %d words does not fit memory (%d words)"
+      prog.Asm.data_size mem_words;
+  List.iter
+    (fun (addr, v) ->
+      if addr < 0 || addr >= mem_words then
+        error "data initialiser at %d is outside memory (%d words)" addr
+          mem_words;
+      store pages zero_page addr v)
+    prog.Asm.data_init;
   (* one extra slot past the register file: the dump target for writes to
      the zero register (see [dst]) *)
   let regs = Array.make (Machine.nregs + 1) 0 in
@@ -577,61 +620,61 @@ let execute ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20) ?(check = true)
     | 37 (* lw data *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
+        regs.(a) <- load pages addr;
         loads.(0) <- loads.(0) + 1;
         pc := next
     | 38 (* lw scalar *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
+        regs.(a) <- load pages addr;
         loads.(1) <- loads.(1) + 1;
         pc := next
     | 39 (* lw save *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
+        regs.(a) <- load pages addr;
         loads.(2) <- loads.(2) + 1;
         pc := next
     | 40 (* lw callsave *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
+        regs.(a) <- load pages addr;
         loads.(3) <- loads.(3) + 1;
         pc := next
     | 41 (* lw stackarg *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        regs.(a) <- Array.unsafe_get mem addr;
+        regs.(a) <- load pages addr;
         loads.(4) <- loads.(4) + 1;
         pc := next
     | 42 (* sw data *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
+        store pages zero_page addr regs.(a);
         stores.(0) <- stores.(0) + 1;
         pc := next
     | 43 (* sw scalar *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
+        store pages zero_page addr regs.(a);
         stores.(1) <- stores.(1) + 1;
         pc := next
     | 44 (* sw save *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
+        store pages zero_page addr regs.(a);
         stores.(2) <- stores.(2) + 1;
         pc := next
     | 45 (* sw callsave *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
+        store pages zero_page addr regs.(a);
         stores.(3) <- stores.(3) + 1;
         pc := next
     | 46 (* sw stackarg *) ->
         let addr = regs.(b) + c in
         if addr < 0 || addr >= mem_words then oob addr;
-        Array.unsafe_set mem addr regs.(a);
+        store pages zero_page addr regs.(a);
         stores.(4) <- stores.(4) + 1;
         pc := next
     | 47 (* b eq *) -> pc := (if regs.(a) = regs.(b) then c else next)

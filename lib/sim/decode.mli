@@ -4,8 +4,15 @@
     form (int opcodes with the binop/relop/tag variant folded in, operands
     pre-resolved, per-pc procedure-meta indices); [execute] interprets it
     with a jump-table dispatch loop and an allocation-free contract
-    checker.  Behaviourally identical to {!Sim.run_reference}, which the
-    differential test suite enforces. *)
+    checker.
+
+    Memory is paged: the {!Chow_machine.Machine.mem_words}-word address
+    space is a table of 4096-word pages that all start out as one shared
+    zero page, and a store allocates its page the first time it writes
+    there.  A run pays for the pages it writes instead of zero-filling
+    the whole address space.  Behaviourally identical to
+    {!Sim.run_reference}, whose flat memory array stays the
+    specification; the differential test suite enforces it. *)
 
 exception Runtime_error of string
 
@@ -70,7 +77,6 @@ val decode : Chow_codegen.Asm.program -> t
 
 val execute :
   ?fuel:int ->
-  ?mem_words:int ->
   ?check:bool ->
   ?profile:bool ->
   ?hooks:hooks ->

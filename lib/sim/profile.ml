@@ -128,7 +128,7 @@ let publish c =
    collapse into their parent so branching recursion cannot explode *)
 let default_max_nodes = 1 lsl 20
 
-let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
+let run ?fuel ?check ?trace ?(trace_depth = 16)
     ?(trace_limit = 100_000) ?(max_nodes = default_max_nodes)
     (prog : Asm.program) : report =
   let code = prog.Asm.code in
@@ -283,7 +283,7 @@ let run ?fuel ?mem_words ?check ?trace ?(trace_depth = 16)
   in
   let outcome =
     Trace.span "sim-profile" (fun () ->
-        Decode.execute ?fuel ?mem_words ?check ~profile:true ~hooks t)
+        Decode.execute ?fuel ?check ~profile:true ~hooks t)
   in
   (* the final segment (last boundary to halt) and frames still live at
      halt, settled from the outcome's final totals *)

@@ -81,7 +81,7 @@ type report = {
 }
 
 (** [run prog] compiles [prog] through {!Decode} and executes it with the
-    profiling probes installed.  [fuel], [mem_words] and [check] are as in
+    profiling probes installed.  [fuel] and [check] are as in
     {!Sim.run}.  With [trace] (default: whether tracing is enabled),
     call/return spans at depth <= [trace_depth] are pushed into
     {!Chow_obs.Trace} on the simulated timebase, at most [trace_limit] of
@@ -94,7 +94,6 @@ type report = {
     would — a trapped program yields no report. *)
 val run :
   ?fuel:int ->
-  ?mem_words:int ->
   ?check:bool ->
   ?trace:bool ->
   ?trace_depth:int ->

@@ -1,12 +1,13 @@
 (** Instruction-level simulator: the stand-in for the paper's MIPS R2000 and
     its [pixie] tracing facility (§8).
 
-    Executes a linked {!Asm.program} over a flat word-addressed memory and
-    counts what pixie counted: executed cycles (one per instruction — pixie
-    excludes cache and MMU effects), calls, and loads/stores broken down by
-    the {!Asm.tag} assigned at code generation, from which the paper's
-    "scalar loads/stores" metric is the [Tscalar] + [Tsave] + [Tcallsave]
-    + [Tstackarg] traffic.
+    Executes a linked {!Asm.program} over a word-addressed memory of
+    {!Machine.mem_words} words (static data from address 0, the stack down
+    from the top) and counts what pixie counted: executed cycles (one per
+    instruction — pixie excludes cache and MMU effects), calls, and
+    loads/stores broken down by the {!Asm.tag} assigned at code
+    generation, from which the paper's "scalar loads/stores" metric is the
+    [Tscalar] + [Tsave] + [Tcallsave] + [Tstackarg] traffic.
 
     With [check = true] (the default) the simulator also enforces each
     procedure's register-preservation contract: at every return it verifies
@@ -20,12 +21,14 @@
     Two engines implement the same semantics.  {!run} is the pre-decoded
     threaded engine ({!Decode}): a one-time pass specializes the program
     into flat int-coded arrays interpreted by a tight jump-table loop with
-    an allocation-free contract checker.  {!run_reference} is the original
-    direct interpreter over {!Asm.inst} variants, retained as the
-    executable specification; the differential test suite holds the two to
-    identical outcomes — outputs, cycle counts, per-tag traffic, per-pc
-    profiles and [Runtime_error] messages — on every workload and on
-    random programs. *)
+    an allocation-free contract checker, over a paged memory whose pages
+    are allocated on first store.  {!run_reference} is the original
+    direct interpreter over {!Asm.inst} variants with one flat memory
+    array, retained as the executable specification; the differential
+    test suite holds the two to identical outcomes — outputs, cycle counts, per-tag traffic, per-pc
+    profiles and [Runtime_error] messages — on every workload, on random
+    programs and at the memory edges (the top word, page boundaries,
+    never-written pages, data that does not fit). *)
 
 module Machine = Chow_machine.Machine
 module Asm = Chow_codegen.Asm
@@ -98,14 +101,24 @@ let eval_relop op a b =
 (** The original engine: direct interpretation of {!Asm.inst} variants.
     Kept as the executable specification the decoded engine is
     differentially tested against. *)
-let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
-    ?(check = true) ?(profile = false) (prog : Asm.program) : outcome =
+let run_reference ?(fuel = 500_000_000) ?(check = true) ?(profile = false)
+    (prog : Asm.program) : outcome =
   Chow_obs.Trace.span "sim-reference" @@ fun () ->
   let code = prog.Asm.code in
   let ncode = Array.length code in
   let pc_counts = if profile then Array.make ncode 0 else [||] in
+  let mem_words = Machine.mem_words in
+  if prog.Asm.data_size < 0 || prog.Asm.data_size > mem_words then
+    error "data segment of %d words does not fit memory (%d words)"
+      prog.Asm.data_size mem_words;
   let mem = Array.make mem_words 0 in
-  List.iter (fun (addr, v) -> mem.(addr) <- v) prog.Asm.data_init;
+  List.iter
+    (fun (addr, v) ->
+      if addr < 0 || addr >= mem_words then
+        error "data initialiser at %d is outside memory (%d words)" addr
+          mem_words;
+      mem.(addr) <- v)
+    prog.Asm.data_init;
   let regs = Array.make Machine.nregs 0 in
   regs.(Machine.sp) <- mem_words;
   let get r = if r = Machine.zero then 0 else regs.(r) in
@@ -252,7 +265,6 @@ let run_reference ?(fuel = 500_000_000) ?(mem_words = 1 lsl 20)
 (** The default engine: pre-decode once, then interpret the specialized
     form.  The decode cost is linear in code size and amortized over the
     run (it is included in every [run] call, not cached). *)
-let run ?fuel ?mem_words ?check ?profile (prog : Asm.program) : outcome =
+let run ?fuel ?check ?profile (prog : Asm.program) : outcome =
   let t = Chow_obs.Trace.span "decode" (fun () -> Decode.decode prog) in
-  Chow_obs.Trace.span "sim" (fun () ->
-      Decode.execute ?fuel ?mem_words ?check ?profile t)
+  Chow_obs.Trace.span "sim" (fun () -> Decode.execute ?fuel ?check ?profile t)

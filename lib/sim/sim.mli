@@ -1,8 +1,8 @@
 (** Instruction-level simulator: the stand-in for the paper's MIPS R2000
     and its [pixie] tracing facility (§8).  Executes a linked program over
-    a flat word-addressed memory; counts cycles (one per instruction),
-    calls, and loads/stores by the {!Chow_codegen.Asm.tag} assigned at code
-    generation. *)
+    a word-addressed memory of {!Chow_machine.Machine.mem_words} words;
+    counts cycles (one per instruction), calls, and loads/stores by the
+    {!Chow_codegen.Asm.tag} assigned at code generation. *)
 
 exception Runtime_error of string
 
@@ -37,32 +37,32 @@ type outcome = Decode.outcome = {
       pointer is balanced, and that control returns to the call site; it
       also rejects calls that do not land on a procedure entry.
     - [profile] (default false) collects per-pc execution counts.
-    - [fuel] bounds executed instructions; [mem_words] sizes memory.
+    - [fuel] bounds executed instructions.
 
-    Raises {!Runtime_error} on traps, contract violations, or exhausted
-    fuel.
+    Raises {!Runtime_error} on traps, contract violations, exhausted
+    fuel, or a data segment or initialiser that does not fit memory.
 
     This is the pre-decoded threaded engine ({!Decode}): the program is
     specialized once into flat int-coded arrays and interpreted by a
-    jump-table dispatch loop with an allocation-free contract checker.
-    The decode pass runs on every call and is amortized over the
+    jump-table dispatch loop with an allocation-free contract checker,
+    over a paged memory that allocates a page on its first store.  The
+    decode pass runs on every call and is amortized over the
     execution. *)
 val run :
   ?fuel:int ->
-  ?mem_words:int ->
   ?check:bool ->
   ?profile:bool ->
   Chow_codegen.Asm.program ->
   outcome
 
 (** The original direct interpreter over {!Chow_codegen.Asm.inst}
-    variants, retained as the executable specification.  Same parameters,
-    semantics, counters and error messages as {!run}; the differential
-    test suite holds the two engines to identical outcomes on every
-    workload and on random programs. *)
+    variants and one flat, zero-filled memory array, retained as the
+    executable specification.  Same parameters, semantics, counters and
+    error messages as {!run}; the differential test suite holds the two
+    engines to identical outcomes on every workload and on random
+    programs. *)
 val run_reference :
   ?fuel:int ->
-  ?mem_words:int ->
   ?check:bool ->
   ?profile:bool ->
   Chow_codegen.Asm.program ->

@@ -99,6 +99,25 @@ let test_rejects_damage () =
       expect_corrupt (Printf.sprintf "bit flip at %d" pos) (Bytes.to_string b))
     [ 5; 14; 30; n - 1 ]
 
+(* a data initialiser outside its unit's data segment would make the
+   simulator index outside memory: the reader rejects it, even behind a
+   valid digest (the digest guards against damage, not forgery) *)
+let test_data_init_out_of_segment_rejected () =
+  let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
+  List.iter
+    (fun (a : Objfile.t) ->
+      let base = a.Objfile.o_data_base and size = a.Objfile.o_data_size in
+      List.iter
+        (fun addr ->
+          expect_corrupt
+            (Printf.sprintf "initialiser at %d, segment [%d, %d)" addr base
+               (base + size))
+            (Objfile.write
+               { a with Objfile.o_data_init = (addr, 1) :: a.Objfile.o_data_init }))
+        ((if base > 0 then [ base - 1 ] else [])
+        @ [ base + size; Machine.mem_words ]))
+    (Pipeline.artifacts c)
+
 let test_tampered_contract_rejected () =
   (* a non-exported, non-recursive helper is closed under IPRA, so its
      artifact carries a usage mask for callers to consume *)
@@ -426,6 +445,8 @@ let suite =
         test_save_load_file;
       Alcotest.test_case "format: damage rejected, never mis-linked" `Quick
         test_rejects_damage;
+      Alcotest.test_case "format: data initialiser outside its segment"
+        `Quick test_data_init_out_of_segment_rejected;
       Alcotest.test_case "format: tampered contract rejected" `Quick
         test_tampered_contract_rejected;
       Alcotest.test_case "cache: warm rebuild identical, allocation-free"

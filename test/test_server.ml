@@ -462,13 +462,15 @@ let test_server_health_probe () =
         [ "listener"; "workers"; "queue"; "cache" ];
       Client.with_connection ~socket_path (fun c ->
           let burst = 32 in
-          (* distinct sources so every request compiles cold: the single
-             worker stays busy and the queue stays at its bound for the
-             whole burst *)
+          (* each request runs a loop of 10^6 iterations, a fixed amount
+             of simulated work that keeps the single worker busy (and the
+             queue at its bound) for far longer than a probe takes,
+             however fast the rest of the request path is; distinct
+             sources make every request compile cold *)
           let src i =
             Printf.sprintf
-              "proc main() { var i = 0; var acc = %d; while (i < 500) { acc \
-               = acc + i * i; i = i + 1; } print(acc); }"
+              "proc main() { var i = 0; var acc = %d; while (i < 1000000) { \
+               acc = acc + i * i; i = i + 1; } print(acc); }"
               i
           in
           for i = 1 to burst do

@@ -208,18 +208,125 @@ let test_diff_fuel_exhaustion () =
       Alcotest.(check bool) "names pc and procedure" true
         (has "out of fuel" && has "pc " && has "in main")
 
+(* the decoded engine's page size, in words: accesses either side of a
+   multiple of it cross from one page to the next *)
+let page = 4096
+
 let test_diff_oob_context () =
-  let prog =
-    program ~f_body:[ Asm.Lw (Machine.t0, Machine.zero, -1, Asm.Tdata) ]
-      ~preserved:[]
+  let top = Machine.mem_words in
+  let lw off = Asm.Lw (Machine.t0, Machine.zero, off, Asm.Tdata) in
+  let sw r off = Asm.Sw (r, Machine.zero, off, Asm.Tdata) in
+  let li n = Asm.Li (Machine.x1, n) in
+  let print = Asm.Print Machine.t0 in
+  (* f's contract is empty, so it may zero s0: main then prints 0 after f
+     returns and itself returns with s0 as it found it *)
+  let ret = [ Asm.Li (Machine.s0, 0); Asm.Jr ] in
+  (* each case is f's body and what the run must print, or [None] for an
+     out-of-bounds trap *)
+  let cases =
+    [
+      ("below memory", [ lw (-1) ], None);
+      ("load at mem_words", [ lw top ], None);
+      ("store at mem_words", [ sw Machine.zero top ], None);
+      (* the top word holds main's saved ra: overwrite it, read it back,
+         then restore it so main still returns *)
+      ( "load and store at mem_words - 1",
+        [
+          Asm.Lw (Machine.x2, Machine.zero, top - 1, Asm.Tdata);
+          li 99;
+          sw Machine.x1 (top - 1);
+          lw (top - 1);
+          print;
+          sw Machine.x2 (top - 1);
+        ]
+        @ ret,
+        Some [ 99; 0 ] );
+      ( "either side of a page boundary",
+        [
+          li 11;
+          sw Machine.x1 (page - 1);
+          li 22;
+          sw Machine.x1 page;
+          lw (page - 1);
+          print;
+          lw page;
+          print;
+        ]
+        @ ret,
+        Some [ 11; 22; 0 ] );
+      ( "never-written page reads 0",
+        [ lw ((5 * page) + 17); print ] @ ret,
+        Some [ 0; 0 ] );
+    ]
   in
-  check_engines_agree "oob" prog;
-  match capture (fun () -> Sim.run prog) with
-  | Ok _ -> Alcotest.fail "expected out-of-bounds trap"
-  | Error msg ->
-      let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
-      Alcotest.(check bool) "names pc and procedure" true
-        (has "out of bounds" && has "pc " && has "in f")
+  List.iter
+    (fun (name, f_body, expect) ->
+      let prog = program ~f_body ~preserved:[] in
+      check_engines_agree name prog;
+      match (capture (fun () -> Sim.run prog), expect) with
+      | Ok o, Some out ->
+          Alcotest.(check (list int)) (name ^ ": output") out o.Sim.output
+      | Error msg, None ->
+          let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+          Alcotest.(check bool)
+            (name ^ ": names pc and procedure") true
+            (has "out of bounds" && has "pc " && has "in f")
+      | Ok _, None -> Alcotest.failf "%s: expected out-of-bounds trap" name
+      | Error msg, Some _ -> Alcotest.failf "%s: unexpected trap: %s" name msg)
+    cases
+
+(* a data initialiser or data segment that does not fit memory is a named
+   runtime error in both engines, never an escaping [Invalid_argument] *)
+let test_diff_data_outside_memory () =
+  let base = program ~f_body:[ Asm.Jr ] ~preserved:[] in
+  List.iter
+    (fun (name, prog, needle) ->
+      check_engines_agree name prog;
+      match capture (fun () -> Sim.run prog) with
+      | Ok _ -> Alcotest.failf "%s: expected a runtime error" name
+      | Error msg ->
+          let has s = Str.string_match (Str.regexp (".*" ^ Str.quote s)) msg 0 in
+          Alcotest.(check bool) (name ^ ": " ^ msg) true (has needle))
+    [
+      ( "initialiser at mem_words",
+        { base with Asm.data_init = [ (Machine.mem_words, 5) ] },
+        "outside memory" );
+      ( "negative initialiser",
+        { base with Asm.data_init = [ (-1, 5) ] },
+        "outside memory" );
+      ( "data segment larger than memory",
+        { base with Asm.data_size = Machine.mem_words + 1 },
+        "does not fit memory" );
+    ]
+
+(* Paged memory is materialised lazily: a trivial run must not pay for
+   the whole address space.  The reference engine's flat
+   memory, [Machine.mem_words] (1 Mi) words per run, shows that the
+   measurement sees such an allocation.  [Gc.minor] first, so the
+   per-domain counters that [Gc.quick_stat] reads are current. *)
+let test_memory_is_lazy () =
+  let prog =
+    Pipeline.program
+      (Pipeline.compile_source Config.baseline
+         (Pipeline.Src "proc main() { print(1); }"))
+  in
+  let major_words run =
+    ignore (run prog);
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    ignore (run prog);
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  let paged = major_words (fun p -> Sim.run p) in
+  let flat = major_words (fun p -> Sim.run_reference p) in
+  Alcotest.(check bool)
+    (Printf.sprintf "flat memory measured (saw %.0f words)" flat)
+    true
+    (flat >= float_of_int Machine.mem_words);
+  Alcotest.(check bool)
+    (Printf.sprintf "paged run under 64 Ki major words (saw %.0f)" paged)
+    true (paged < 65536.)
 
 let test_diff_wild_call () =
   (* pc 3 is mid-main, not a procedure entry: both engines must call it a
@@ -261,22 +368,29 @@ let test_diff_profile_counts () =
 
 (* Random differential testing: compile a random Genprog program, run both
    engines on it, then mutate one instruction of the linked image into a
-   trap (division by zero, out-of-bounds access, or a wild call) and insist
-   the engines still agree — including on the exact error message. *)
+   trap (division by zero, an access below or above memory, or a wild
+   call) or a memory edge (the top word, either side of a page boundary,
+   often a never-written page) and insist the engines still agree —
+   including on the exact error message. *)
 
 let mutate rng (prog : Asm.program) =
   let code = Array.copy prog.Asm.code in
   let n = Array.length code in
   let pc = 2 + Random.State.int rng (max 1 (n - 2)) in
+  let int = Random.State.int rng in
+  (* a load or a store through the zero register at an absolute address *)
+  let access addr =
+    if int 2 = 0 then Asm.Lw (Machine.t0, Machine.zero, addr, Asm.Tdata)
+    else Asm.Sw (Machine.t0, Machine.zero, addr, Asm.Tdata)
+  in
   let kind, inst =
-    match Random.State.int rng 3 with
+    match int 6 with
     | 0 -> ("divzero", Asm.Binopi (Ir.Div, Machine.t0, Machine.t0, 0))
-    | 1 ->
-        ( "oob",
-          Asm.Lw
-            (Machine.t0, Machine.zero, -1 - Random.State.int rng 7, Asm.Tdata)
-        )
-    | _ -> ("wildcall", Asm.Jal_pc (Random.State.int rng (n + 8)))
+    | 1 -> ("oob", access (-1 - int 7))
+    | 2 -> ("oob-top", access (Machine.mem_words + int 7))
+    | 3 -> ("top", access (Machine.mem_words - 1))
+    | 4 -> ("page-edge", access ((page * (1 + int 8)) - 1 + int 2))
+    | _ -> ("wildcall", Asm.Jal_pc (int (n + 8)))
   in
   code.(pc) <- inst;
   (Printf.sprintf "%s@%d" kind pc, { prog with Asm.code = code })
@@ -319,6 +433,10 @@ let suite =
       Alcotest.test_case "diff: fuel exhaustion context" `Quick
         test_diff_fuel_exhaustion;
       Alcotest.test_case "diff: oob context" `Quick test_diff_oob_context;
+      Alcotest.test_case "diff: data outside memory" `Quick
+        test_diff_data_outside_memory;
+      Alcotest.test_case "paged memory: a trivial run allocates little"
+        `Quick test_memory_is_lazy;
       Alcotest.test_case "diff: wild call" `Quick test_diff_wild_call;
       Alcotest.test_case "diff: division by zero" `Quick
         test_diff_division_by_zero;
