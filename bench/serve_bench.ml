@@ -11,12 +11,6 @@
       cache-hit path (hash, artifact load, link);
     - [mixed]: 1 cold build in 8, the rest warm — the steady-state shape
       of a build service (an edited unit arriving amid cached ones);
-    - [warm-shard1] vs [warm-shard4]: the same warm load against a
-      1-shard and a 4-shard artifact cache at concurrency >= 4 — the pair
-      that measures what sharding the cache lock buys (on a multi-core
-      host the 4-shard server must sustain strictly higher throughput;
-      the [server/meta/cores] row lets the regression gate skip that
-      check on starved machines);
     - [warm-sampled]: the warm mix re-run with the continuous telemetry
       sampler armed at an aggressive 200ms interval (5x the production
       default) — the pair that measures what background sampling costs
@@ -123,7 +117,7 @@ type running = {
   thread : Thread.t;
 }
 
-let start ?(sampled = false) ~shards ~workers () =
+let start ?(sampled = false) ~workers () =
   let dir = Filename.temp_file "chow88-serve-bench" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -134,8 +128,7 @@ let start ?(sampled = false) ~shards ~workers () =
   let server =
     Server.create ~workers ~queue_bound:256
       ~cache_dir:(Filename.concat dir "cache")
-      ~cache_shards:shards ?telemetry_path ~sample_interval:0.2
-      ~socket_path:sock ()
+      ?telemetry_path ~sample_interval:0.2 ~socket_path:sock ()
   in
   let thread = Thread.create Server.serve server in
   if not (Client.wait_ready ~socket_path:sock ()) then
@@ -225,9 +218,9 @@ let stats_snapshot sock =
       | Protocol.Stats_reply rows -> rows
       | _ -> failwith "serve bench: Stats request failed")
 
-let run_mix ~name ~shards ~workers ~concurrency ~total ?(logged = false)
+let run_mix ~name ~workers ~concurrency ~total ?(logged = false)
     ?(sampled = false) make_req ~seed =
-  let r = start ~sampled ~shards ~workers () in
+  let r = start ~sampled ~workers () in
   Fun.protect
     ~finally:(fun () -> stop r)
     (fun () ->
@@ -271,12 +264,12 @@ let rows ~smoke () =
   let scale n = if smoke then max 1 (n / 8) else n in
   let workers = 4 and concurrency = 4 in
   let cold =
-    run_mix ~name:"cold" ~shards:4 ~workers ~concurrency ~total:(scale 400)
+    run_mix ~name:"cold" ~workers ~concurrency ~total:(scale 400)
       (fun i -> build_req ~id:i (cold_src i))
       ~seed:false
   in
   let warm =
-    run_mix ~name:"warm" ~shards:4 ~workers ~concurrency ~total:(scale 2000)
+    run_mix ~name:"warm" ~workers ~concurrency ~total:(scale 2000)
       (fun i -> build_req ~id:i (warm_src i))
       ~seed:true
   in
@@ -286,35 +279,23 @@ let rows ~smoke () =
      sampler runs at an aggressive 200ms (5x the default rate) — if 5
      snapshots a second fit the budget, the default 1s surely does *)
   let sampled =
-    run_mix ~name:"warm-sampled" ~shards:4 ~workers ~concurrency
+    run_mix ~name:"warm-sampled" ~workers ~concurrency
       ~total:(scale 2000) ~sampled:true
       (fun i -> build_req ~id:i (warm_src i))
       ~seed:true
   in
   (* the 2x logging budget likewise compares warm-logged against warm *)
   let logged =
-    run_mix ~name:"warm-logged" ~shards:4 ~workers ~concurrency
+    run_mix ~name:"warm-logged" ~workers ~concurrency
       ~total:(scale 2000) ~logged:true
       (fun i -> build_req ~id:i (warm_src i))
       ~seed:true
   in
   let mixed =
-    run_mix ~name:"mixed" ~shards:4 ~workers ~concurrency ~total:(scale 1000)
+    run_mix ~name:"mixed" ~workers ~concurrency ~total:(scale 1000)
       (fun i ->
         if i mod 8 = 0 then build_req ~id:i (cold_src i)
         else build_req ~id:i (warm_src i))
-      ~seed:true
-  in
-  let shard1 =
-    run_mix ~name:"warm-shard1" ~shards:1 ~workers ~concurrency
-      ~total:(scale 800)
-      (fun i -> build_req ~id:i (warm_src i))
-      ~seed:true
-  in
-  let shard4 =
-    run_mix ~name:"warm-shard4" ~shards:4 ~workers ~concurrency
-      ~total:(scale 800)
-      (fun i -> build_req ~id:i (warm_src i))
       ~seed:true
   in
   let mixes =
@@ -324,8 +305,6 @@ let rows ~smoke () =
       ("warm-sampled", sampled);
       ("warm-logged", logged);
       ("mixed", mixed);
-      ("warm-shard1", shard1);
-      ("warm-shard4", shard4);
     ]
   in
   let ns_rows =

@@ -714,9 +714,9 @@ let serve_cmd =
     "Run the compile-server daemon: accept concurrent build/run/profile \
      requests over a unix socket, schedule them across worker domains with \
      per-request priorities and a bounded admission queue (overload \
-     answers $(b,Busy)), and serve warm units from the sharded \
-     content-addressed artifact cache.  Stops on a $(b,shutdown) request \
-     or SIGINT/SIGTERM, draining accepted work first."
+     answers $(b,Busy)), and serve warm units from the content-addressed \
+     artifact cache.  Stops on a $(b,shutdown) request or SIGINT/SIGTERM, \
+     draining accepted work first."
   in
   let workers_arg =
     Arg.(
@@ -734,14 +734,6 @@ let serve_cmd =
             "Admission-queue depth: requests beyond $(docv) waiting jobs \
              receive an immediate $(b,Busy) reply, bounding the daemon's \
              memory under overload.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt positive_int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Artifact-cache shards: independent locks by key prefix, so \
-             concurrent warm requests don't serialize on one mutex.")
   in
   let max_entries_arg =
     Arg.(
@@ -813,7 +805,7 @@ let serve_cmd =
             "Rotate the telemetry file after $(docv) samples (default \
              10000); the file pair keeps at most 2x$(docv) samples.")
   in
-  let serve socket workers queue_bound cache_dir shards max_entries trace
+  let serve socket workers queue_bound cache_dir max_entries trace
       log log_level flight_dump telemetry sample_interval telemetry_lines
       stats =
     handle_errors @@ fun () ->
@@ -834,7 +826,7 @@ let serve_cmd =
           log)
     @@ fun () ->
     let server =
-      Server.create ~workers ~queue_bound ?cache_dir ~cache_shards:shards
+      Server.create ~workers ~queue_bound ?cache_dir
         ?cache_max_entries:max_entries ~flight_path ?telemetry_path:telemetry
         ~sample_interval ~telemetry_max_lines:telemetry_lines
         ~socket_path:socket ()
@@ -852,7 +844,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket_arg $ workers_arg $ queue_bound_arg
-      $ cache_dir_arg $ shards_arg $ max_entries_arg $ trace_arg $ log_arg
+      $ cache_dir_arg $ max_entries_arg $ trace_arg $ log_arg
       $ log_level_arg $ flight_dump_arg $ telemetry_arg
       $ sample_interval_arg $ telemetry_lines_arg $ stats_flag)
 

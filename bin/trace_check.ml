@@ -22,16 +22,11 @@
     the baseline (p99 rows get a 3x band — tails are noisy; queue_wait_p99
     rows, being power-of-two bucket upper bounds, get 4x so single-bucket
     jitter can't flake the gate) and [server/*/throughput] rows may not
-    fall below half the baseline.  The warm-shard mixes are exempt from
-    cross-run bands on hosts with fewer than 4 cores — without real
-    parallelism they measure scheduler timesharing, not sharding.  When the
-    current file carries server rows, three invariants internal to that
-    file are also enforced: the warm p50 must be at least 4x below the
-    cold p50, the warm-logged p50 must stay within 2x of the silent warm
-    p50, and — on hosts with at least 4 cores, per the
-    [server/meta/cores] row — the 4-shard warm throughput must not fall
-    more than 5% below the 1-shard one (a noise band, so a single-run
-    tie can't flake the gate).
+    fall below half the baseline.  When the current file carries server
+    rows, three invariants internal to that file are also enforced: the
+    warm p50 must be at least 4x below the cold p50, the warm-logged p50
+    must stay within 2x of the silent warm p50, and the warm-sampled p50
+    within 1.1x of it.
 
     [pgo/*] rows (profile-guided inlining: memory operations removed,
     cycles, code growth) are exact like [penalty/*] rows, and within the
@@ -222,18 +217,11 @@ let starts_with ~prefix s =
 
 (** Invariants the compile-server rows must satisfy within one freshly
     measured file: a warm request must be at least 4x faster than a cold
-    one at the median, and on a host with >= 4 cores the 4-shard cache
-    must not sustain measurably LESS warm throughput than the 1-shard
-    one — single-run throughput is noisy, so a tie or a within-noise
-    inversion (up to 5%) passes; only a real regression fails (the
-    [server/meta/cores] row gates the check so a starved CI machine
-    cannot flake it). *)
+    one at the median, and logging and sampling must stay within their
+    overhead budgets against the silent warm mix. *)
 let server_invariants ~flunk current =
   let ns name =
     match List.assoc_opt name current with Some (ns, _) -> ns | None -> None
-  in
-  let value name =
-    match List.assoc_opt name current with Some (_, v) -> v | None -> None
   in
   if List.exists (fun (name, _) -> starts_with ~prefix:"server/" name) current
   then begin
@@ -263,7 +251,7 @@ let server_invariants ~flunk current =
        mix at the median (the acceptance gate the telemetry layer ships
        under — a sampler that taxes the serving path 10% is a bug, not an
        observability feature) *)
-    (match (ns "server/warm-sampled/p50", ns "server/warm/p50") with
+    match (ns "server/warm-sampled/p50", ns "server/warm/p50") with
     | Some sampled, Some warm when warm > 0. ->
         if sampled > warm *. 1.1 then
           flunk
@@ -272,25 +260,6 @@ let server_invariants ~flunk current =
                 silent warm p50 (%.1f us) — telemetry sampling overhead is \
                 out of budget"
                (sampled /. 1e3) (warm /. 1e3))
-    | _ -> ());
-    match value "server/meta/cores" with
-    | Some cores when cores >= 4. -> (
-        match
-          ( value "server/warm-shard4/throughput",
-            value "server/warm-shard1/throughput" )
-        with
-        | Some t4, Some t1 ->
-            (* 5% noise band: benchmark throughput from one run jitters
-               a few percent on a healthy host, and the gate must only
-               catch sharding actually hurting, not a measurement tie *)
-            if t4 < t1 *. 0.95 then
-              flunk
-                (Printf.sprintf
-                   "4-shard warm throughput (%.0f req/s) measurably below \
-                    1-shard (%.0f req/s, >5%% down) on a %.0f-core host — \
-                    cache sharding is not relieving lock contention"
-                   t4 t1 cores)
-        | _ -> flunk "server warm-shard throughput rows missing")
     | _ -> ()
   end
 
@@ -373,26 +342,10 @@ let check_bench_compare baseline_path current_path =
   and penalty_checked = ref 0
   and pgo_checked = ref 0
   and alloc_checked = ref 0
-  and server_checked = ref 0
-  and shard_skipped = ref 0 in
+  and server_checked = ref 0 in
   let failures = ref [] in
   let flunk fmt =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt
-  in
-  (* the shard mixes exist to measure cache-shard contention relief, which
-     needs worker domains actually running in parallel.  On a host with
-     fewer than 4 cores their latency is dominated by how the scheduler
-     happens to timeshare one CPU — identical full runs have produced 5x
-     spreads — so cross-run bands on them gate nothing but noise.  Same
-     reasoning (and same [server/meta/cores] row) as the shard-throughput
-     invariant in {!server_invariants}. *)
-  let cores =
-    match List.assoc_opt "server/meta/cores" current with
-    | Some (_, Some v) -> v
-    | _ -> 0.
-  in
-  let is_shard_mix name =
-    starts_with ~prefix:"server/warm-shard" name
   in
   let ends_with ~suffix name =
     let sl = String.length suffix and nl = String.length name in
@@ -453,8 +406,6 @@ let check_bench_compare baseline_path current_path =
           end
           else if starts_with ~prefix:"server/meta/" name then ()
           else if starts_with ~prefix:"server/" name then begin
-            if is_shard_mix name && cores < 4. then incr shard_skipped
-            else
             (* tail latencies are far noisier than medians, so p99 rows get
                a 3x band where p50 gets 1.5x.  queue_wait_p99 rows are
                histogram bucket upper bounds (powers of two), so the
@@ -503,12 +454,9 @@ let check_bench_compare baseline_path current_path =
       exit 1);
   Printf.printf
     "%s vs %s: %d timings within 25%%, %d penalty rows exact, %d pgo rows \
-     exact, %d alloc rows exact, %d server rows within band%s\n"
+     exact, %d alloc rows exact, %d server rows within band\n"
     current_path baseline_path !timing_checked !penalty_checked !pgo_checked
     !alloc_checked !server_checked
-    (if !shard_skipped > 0 then
-       Printf.sprintf " (%d shard rows skipped: <4 cores)" !shard_skipped
-     else "")
 
 (* ----- pgo smoke ----- *)
 

@@ -16,14 +16,11 @@
     Observability: [cache.hit], [cache.miss], [cache.evict] and
     [cache.corrupt] counters in the {!Chow_obs.Metrics} registry.
 
-    Concurrency: the store is sharded by key prefix into [shards]
-    independent slices, each guarded by its own lock held across a whole
-    lookup or store — hit/miss/evict accounting is atomic per shard, and
-    concurrent warm lookups of distinct keys serialize only when they land
-    on the same shard.  Stores are atomic renames and the on-disk layout
-    is shard-agnostic, so multiple processes (even with different shard
-    counts) may share one cache directory: the worst cross-process race is
-    a duplicated compilation, never a corrupt entry.
+    Concurrency: one lock, held across a whole lookup or store, makes
+    hit/miss/evict accounting atomic.  Stores are atomic renames, so
+    multiple processes may share one cache directory: the worst
+    cross-process race is a duplicated compilation, never a corrupt
+    entry.
 
     Eviction: least-recently-used under [max_entries].  A hit refreshes
     the entry's modification time; eviction removes the oldest entries by
@@ -34,19 +31,13 @@ module Objfile := Chow_codegen.Objfile
 
 type t
 
-(** [create ?max_entries ?shards ~dir ()] opens (creating [dir] if
-    needed) a cache.  [max_entries] bounds the number of stored artifacts;
-    beyond it, the least-recently-used entries are evicted on store.  The
-    bound is enforced per shard as [ceil (max_entries / shards)].
-    Default: unbounded, one shard.  Raises [Invalid_argument] when
-    [shards < 1]; counts above 256 are clamped to 256 (the routing
-    prefix is two hex digits, so more shards could never be reached). *)
-val create : ?max_entries:int -> ?shards:int -> dir:string -> unit -> t
+(** [create ?max_entries ~dir ()] opens (creating [dir] if needed) a
+    cache.  [max_entries] bounds the number of stored artifacts; beyond
+    it, the least-recently-used entries are evicted on store.  Default:
+    unbounded. *)
+val create : ?max_entries:int -> dir:string -> unit -> t
 
 val dir : t -> string
-
-(** Number of shards the store was opened with. *)
-val shards : t -> int
 
 (** [key ~config_fp ~source ~data_base] is the content address (an MD5 hex
     string) of a unit compiled from [source] under the configuration
@@ -54,18 +45,13 @@ val shards : t -> int
     [data_base]. *)
 val key : config_fp:string -> source:string -> data_base:int -> string
 
-(** The shard [key] routes to: the key's first two hex digits (0..255)
-    modulo the shard count (exposed for tests and load-distribution
-    diagnostics). *)
-val shard_index : t -> string -> int
-
 (** [find t key] loads the artifact stored under [key], or [None] (also on
     corruption, after deleting the offender).  A hit refreshes the entry's
     LRU age. *)
 val find : t -> string -> Objfile.t option
 
-(** [store t key art] persists [art] under [key], then enforces the
-    shard's entry quota. *)
+(** [store t key art] persists [art] under [key], then enforces
+    [max_entries]. *)
 val store : t -> string -> Objfile.t -> unit
 
 (** [clear t] removes every stored artifact (not counted as eviction). *)
@@ -73,18 +59,16 @@ val clear : t -> unit
 
 (** {2 Footprint}
 
-    The daemon's telemetry gauges ([cache.entries], [cache.bytes] and
-    their per-shard [/shardN] series) are refreshed from here. *)
+    The daemon's telemetry gauges [cache.entries] and [cache.bytes] are
+    refreshed from here. *)
 
 type stats = {
-  s_entries : int;  (** stored artifacts across all shards *)
+  s_entries : int;  (** stored artifacts *)
   s_bytes : int;  (** their total on-disk size *)
-  s_shard_entries : int array;  (** per shard, indexed by shard *)
-  s_shard_bytes : int array;
 }
 
 (** [stats t] scans the store (one [readdir] plus one [stat] per entry —
-    cheap at working-set sizes, and never takes a shard lock, so a
+    cheap at working-set sizes, and never takes the lock, so a
     concurrent sampler can't stall compiles).  Entries evicted mid-scan
     just don't count. *)
 val stats : t -> stats

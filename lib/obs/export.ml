@@ -16,8 +16,8 @@ let sanitize base =
   else if s.[0] >= '0' && s.[0] <= '9' then "_" ^ s
   else s
 
-(* ["cache.entries/shard3"] -> family base ["cache.entries"], item
-   ["shard3"]; everything after the FIRST slash is the item, so items may
+(* ["sim.proc_cycles/main"] -> family base ["sim.proc_cycles"], item
+   ["main"]; everything after the FIRST slash is the item, so items may
    themselves contain slashes. *)
 let split_item name =
   match String.index_opt name '/' with

@@ -2,7 +2,10 @@
     list is short-lived) into per-domain growable arrays of
     (timestamp, line) pairs, merged into one timestamp-ordered stream by
     {!write}.  The enabled check is a single atomic load of the current
-    threshold, so a disabled logger costs one load per call site. *)
+    threshold, so a disabled logger costs one load per call site.  A
+    per-buffer mutex, taken only on the enabled path, serialises the
+    sys-threads sharing a domain (the daemon's acceptor and connection
+    readers all run on one), as {!Flight.record} does for its rings. *)
 
 type level = Error | Warn | Info | Debug
 
@@ -30,6 +33,7 @@ let enable l = Atomic.set threshold (rank l)
 let disable () = Atomic.set threshold (-1)
 
 type buf = {
+  lock : Mutex.t;
   mutable n : int;
   mutable ts : int array;  (** µs since the Unix epoch *)
   mutable lines : string array;
@@ -40,7 +44,14 @@ let registry_lock = Mutex.create ()
 
 let buffer_key =
   Domain.DLS.new_key (fun () ->
-      let b = { n = 0; ts = Array.make 64 0; lines = Array.make 64 "" } in
+      let b =
+        {
+          lock = Mutex.create ();
+          n = 0;
+          ts = Array.make 64 0;
+          lines = Array.make 64 "";
+        }
+      in
       Mutex.lock registry_lock;
       registry := b :: !registry;
       Mutex.unlock registry_lock;
@@ -58,7 +69,12 @@ let grow b =
 
 let reset () =
   Mutex.lock registry_lock;
-  List.iter (fun b -> b.n <- 0) !registry;
+  List.iter
+    (fun b ->
+      Mutex.lock b.lock;
+      b.n <- 0;
+      Mutex.unlock b.lock)
+    !registry;
   Mutex.unlock registry_lock
 
 let render ~ts ~level ~req event fields =
@@ -91,10 +107,12 @@ let log level ~req event fields =
     let ts = now_us () in
     let line = render ~ts ~level ~req event fields in
     let b = Domain.DLS.get buffer_key in
+    Mutex.lock b.lock;
     if b.n = Array.length b.ts then grow b;
     b.ts.(b.n) <- ts;
     b.lines.(b.n) <- line;
-    b.n <- b.n + 1
+    b.n <- b.n + 1;
+    Mutex.unlock b.lock
   end
 
 let error ?(req = -1) event fields = log Error ~req event fields
@@ -111,9 +129,11 @@ let collect () =
   let rows = ref [] in
   List.iter
     (fun b ->
+      Mutex.lock b.lock;
       for i = b.n - 1 downto 0 do
         rows := (b.ts.(i), b.lines.(i)) :: !rows
-      done)
+      done;
+      Mutex.unlock b.lock)
     bufs;
   List.stable_sort (fun (a, _) (b, _) -> compare a b) !rows
 

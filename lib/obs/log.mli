@@ -3,8 +3,9 @@
     The compile server needs a production log: one JSON object per line,
     each carrying a timestamp, a severity, an event name, the request id
     that caused it (see {!Context}) and free-form fields.  Lines are
-    buffered per domain exactly like {!Trace} events — appending never
-    takes a lock — and merged into timestamp order by {!write}.
+    buffered per domain exactly like {!Trace} events — appending takes
+    only the buffer's own lock, which the sys-threads of one domain
+    share — and merged into timestamp order by {!write}.
 
     The logger is off by default and the disabled path is free: {!log}
     loads one atomic and returns.  It allocates nothing as long as the

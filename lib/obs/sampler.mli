@@ -15,7 +15,7 @@
     samples and disk use stays bounded forever.
 
     Each sample first runs the [on_sample] callback (the daemon uses it
-    to refresh level gauges whose truth lives elsewhere — per-shard cache
+    to refresh level gauges whose truth lives elsewhere — the cache
     footprint, say), then refreshes the [gc.*] gauges from
     [Gc.quick_stat], then dumps.  Exceptions from the callback are
     swallowed: telemetry must never take the daemon down.

@@ -1,7 +1,9 @@
 (** See trace.mli.  Events are stored struct-of-arrays per domain: parallel
     growable arrays of name / timestamp / duration / kind / pre-rendered
-    args, appended without any locking.  The global registry of buffers is
-    only touched on a domain's first event, on {!reset} and on {!write}. *)
+    args.  A per-buffer mutex, taken only while tracing is enabled,
+    serialises the sys-threads sharing a domain, as {!Flight.record} does
+    for its rings.  The global registry of buffers is only touched on a
+    domain's first event, on {!reset} and on {!write}. *)
 
 type arg = Int of int | Str of string
 
@@ -10,6 +12,7 @@ let k_counter = 1
 
 type buf = {
   tid : int;
+  lock : Mutex.t;
   mutable n : int;
   mutable names : string array;
   mutable ts : int array;  (** ns since the Unix epoch *)
@@ -30,6 +33,7 @@ let buffer_key =
       let b =
         {
           tid = (Domain.self () :> int);
+          lock = Mutex.create ();
           n = 0;
           names = Array.make 64 "";
           ts = Array.make 64 0;
@@ -59,6 +63,7 @@ let grow b =
   b.args <- g "" b.args
 
 let push b ~name ~ts ~dur ~kind ~args =
+  Mutex.lock b.lock;
   if b.n = Array.length b.names then grow b;
   let i = b.n in
   b.names.(i) <- name;
@@ -66,7 +71,8 @@ let push b ~name ~ts ~dur ~kind ~args =
   b.dur.(i) <- dur;
   b.kinds.(i) <- kind;
   b.args.(i) <- args;
-  b.n <- i + 1
+  b.n <- i + 1;
+  Mutex.unlock b.lock
 
 let is_on () = Atomic.get enabled
 
@@ -78,7 +84,12 @@ let disable () = Atomic.set enabled false
 
 let reset () =
   Mutex.lock registry_lock;
-  List.iter (fun b -> b.n <- 0) !registry;
+  List.iter
+    (fun b ->
+      Mutex.lock b.lock;
+      b.n <- 0;
+      Mutex.unlock b.lock)
+    !registry;
   Mutex.unlock registry_lock
 
 (* ----- JSON rendering ----- *)
@@ -169,6 +180,7 @@ let emit out =
   let first = ref true in
   List.iter
     (fun b ->
+      Mutex.protect b.lock @@ fun () ->
       for i = 0 to b.n - 1 do
         if !first then first := false else out ",";
         out "\n";

@@ -71,9 +71,6 @@ type t = {
   listen_fd : Unix.file_descr;
   sched : Scheduler.t;
   cache : Cache.t option;
-  (* per-shard footprint gauges, registered once at create so the 1 Hz
-     refresh allocates no names *)
-  cache_shard_gauges : (Metrics.gauge * Metrics.gauge) array;
   bound : int;
   flight_path : string option;
   stop : bool Atomic.t;
@@ -136,12 +133,7 @@ let refresh_gauges t =
   | Some c ->
       let st = Cache.stats c in
       Metrics.set g_cache_entries st.Cache.s_entries;
-      Metrics.set g_cache_bytes st.Cache.s_bytes;
-      Array.iteri
-        (fun i (g_entries, g_bytes) ->
-          Metrics.set g_entries st.Cache.s_shard_entries.(i);
-          Metrics.set g_bytes st.Cache.s_shard_bytes.(i))
-        t.cache_shard_gauges);
+      Metrics.set g_cache_bytes st.Cache.s_bytes);
   Sampler.refresh_gc_gauges ()
 
 (* Readiness: each check is answered from the connection thread with
@@ -453,8 +445,8 @@ let handle_connection t id conn =
 
 (* ----- lifecycle ----- *)
 
-let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?(cache_shards = 4)
-    ?cache_max_entries ?flight_path ?telemetry_path ?(sample_interval = 1.0)
+let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?cache_max_entries
+    ?flight_path ?telemetry_path ?(sample_interval = 1.0)
     ?(telemetry_max_lines = 10_000) ~socket_path () =
   if workers < 1 then invalid_arg "Server.create: workers must be >= 1";
   (* replies to vanished clients must fail with EPIPE, not kill the daemon *)
@@ -465,8 +457,7 @@ let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?(cache_shards = 4)
   Flight.enable ();
   let cache =
     Option.map
-      (fun dir ->
-        Cache.create ?max_entries:cache_max_entries ~shards:cache_shards ~dir ())
+      (fun dir -> Cache.create ?max_entries:cache_max_entries ~dir ())
       cache_dir
   in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -481,21 +472,12 @@ let create ?(workers = 4) ?(queue_bound = 64) ?cache_dir ?(cache_shards = 4)
     if Flight.is_on () then Flight.record ~req:(-1) ~detail:msg "worker-trap";
     flight_dump ~path:flight_path "worker-trap"
   in
-  let cache_shard_gauges =
-    match cache with
-    | None -> [||]
-    | Some c ->
-        Array.init (Cache.shards c) (fun i ->
-            ( Metrics.gauge (Printf.sprintf "cache.entries/shard%d" i),
-              Metrics.gauge (Printf.sprintf "cache.bytes/shard%d" i) ))
-  in
   let t =
     {
       socket_path;
       listen_fd;
       sched = Scheduler.create ~on_error ~workers ~queue_bound ();
       cache;
-      cache_shard_gauges;
       bound = queue_bound;
       flight_path;
       stop = Atomic.make false;

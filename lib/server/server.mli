@@ -10,8 +10,7 @@
       queue answers [Busy] immediately, so overload produces explicit
       backpressure instead of unbounded memory growth;
     - {b execution} — worker domains compile against the shared
-      {!Chow_compiler.Cache} (sharded, so concurrent warm requests don't
-      serialize on one lock) and write the reply straight to the
+      {!Chow_compiler.Cache} and write the reply straight to the
       requesting connection.
 
     Observability: the metrics registry is enabled for the daemon's
@@ -33,10 +32,10 @@
     [server.queue_depth] and [server.workers_busy] (maintained by the
     scheduler under its lock), [server.connections] and
     [server.inflight] (maintained by the admission side), the cache
-    footprint as [cache.entries] / [cache.bytes] with per-shard
-    [/shardN] series, and the [gc.minor_words] / [gc.major_words] /
-    [gc.heap_words] / [gc.compactions] runtime levels.  Footprint and GC
-    gauges are refreshed before answering [Stats] or [Metrics_text], so
+    footprint as [cache.entries] / [cache.bytes], and the
+    [gc.minor_words] / [gc.major_words] / [gc.heap_words] /
+    [gc.compactions] runtime levels.  Footprint and GC gauges are
+    refreshed before answering [Stats] or [Metrics_text], so
     pull-based views are current even without a sampler.  A
     [Metrics_text] request returns the {!Chow_obs.Export} OpenMetrics
     page; a [Health] request answers the readiness checks (listener up,
@@ -68,26 +67,26 @@
 
 type t
 
-(** [create ?workers ?queue_bound ?cache_dir ?cache_shards
-    ?cache_max_entries ?flight_path ?telemetry_path ?sample_interval
-    ?telemetry_max_lines ~socket_path ()] binds and listens on
-    [socket_path] (an existing socket file is replaced).  Defaults:
-    4 workers, queue bound 64, no cache (every request compiles cold),
-    4 shards, no postmortem dump file, no time-series sampler.
-    [flight_path] is where the flight-recorder rings are written (as
-    JSON) when a worker traps or a malformed frame arrives.
+(** [create ?workers ?queue_bound ?cache_dir ?cache_max_entries
+    ?flight_path ?telemetry_path ?sample_interval ?telemetry_max_lines
+    ~socket_path ()] binds and listens on [socket_path] (an existing
+    socket file is replaced).  Defaults: 4 workers, queue bound 64, no
+    cache (every request compiles cold), an unbounded cache when
+    [cache_dir] is given, no postmortem dump file, no time-series
+    sampler.  [cache_max_entries] bounds the cache to exactly that many
+    artifacts (LRU eviction).  [flight_path] is where the
+    flight-recorder rings are written (as JSON) when a worker traps or a
+    malformed frame arrives.
     [telemetry_path] arms the continuous sampler: one JSON line per
     [sample_interval] seconds (default 1s), rotated after
     [telemetry_max_lines] lines (default 10_000).  The compile
     configuration is per-request; parallelism is across requests, each
     compiled sequentially on its worker domain.  Raises
-    [Invalid_argument] when [workers] or [queue_bound] is below 1, or
-    [cache_shards] is below 1 with a [cache_dir]. *)
+    [Invalid_argument] when [workers] or [queue_bound] is below 1. *)
 val create :
   ?workers:int ->
   ?queue_bound:int ->
   ?cache_dir:string ->
-  ?cache_shards:int ->
   ?cache_max_entries:int ->
   ?flight_path:string ->
   ?telemetry_path:string ->

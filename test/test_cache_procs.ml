@@ -2,8 +2,7 @@
     [Unix.fork] is illegal once any domain has been spawned (and the main
     test binary's earlier suites spawn domains).
 
-    Two processes share one cache directory, each with its own handle —
-    with different shard counts, since the disk layout is shard-agnostic.
+    Two processes share one cache directory, each with its own handle.
     Stores are atomic tmp-plus-rename replaces, so both sides must only
     ever observe intact artifacts: no torn reads, no corrupt entries, and
     the atomic counters in the parent must sum exactly. *)
@@ -51,7 +50,7 @@ let sorted_entries cache =
 let test_concurrent_processes () =
   let dir = Filename.temp_file "chow88-procs" ".cache" in
   Sys.remove dir;
-  let cache = Cache.create ~shards:4 ~dir () in
+  let cache = Cache.create ~dir () in
   (* compiling never spawns a domain, so the fork below is legal *)
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
@@ -59,7 +58,7 @@ let test_concurrent_processes () =
   | 0 ->
       (* the child opens its own handle on the same directory *)
       let child_ok =
-        try hammer (Cache.create ~shards:2 ~dir ()) art with _ -> false
+        try hammer (Cache.create ~dir ()) art with _ -> false
       in
       Unix._exit (if child_ok then 0 else 1)
   | pid ->

@@ -176,6 +176,43 @@ let test_multi_domain_merge () =
          t)
        neg_infinity ts)
 
+(* the daemon's acceptor and connection readers are sys-threads of one
+   domain, so they share that domain's buffer: concurrent appends must
+   neither tear the buffer (out-of-bounds on a racing grow) nor lose a
+   line *)
+let test_threads_share_buffer () =
+  let threads = 4 and per_thread = 100_000 in
+  let failed = Atomic.make None in
+  let path = Filename.temp_file "chow88-log-threads" ".jsonl" in
+  Log.reset ();
+  Log.enable Log.Info;
+  Fun.protect
+    ~finally:(fun () ->
+      Log.disable ();
+      Log.reset ();
+      Sys.remove path)
+    (fun () ->
+      List.init threads (fun t ->
+          Thread.create
+            (fun () ->
+              try
+                for i = 1 to per_thread do
+                  Log.info "thread" [ ("t", Log.Int t); ("i", Log.Int i) ]
+                done
+              with e -> Atomic.set failed (Some (Printexc.to_string e)))
+            ())
+      |> List.iter Thread.join;
+      Option.iter (Alcotest.failf "a logging thread raised %s")
+        (Atomic.get failed);
+      Log.write_file path;
+      let ic = open_in path in
+      let rec count n =
+        match input_line ic with _ -> count (n + 1) | exception End_of_file -> n
+      in
+      let lines = count 0 in
+      close_in ic;
+      Alcotest.(check int) "every line kept" (threads * per_thread) lines)
+
 let suite =
   ( "log",
     [
@@ -189,4 +226,6 @@ let suite =
         test_field_rendering;
       Alcotest.test_case "multi-domain lines merge in ts order" `Quick
         test_multi_domain_merge;
+      Alcotest.test_case "sys-threads of one domain lose nothing" `Quick
+        test_threads_share_buffer;
     ] )

@@ -37,10 +37,10 @@ let two_units = [ unit_main; unit_math ]
 
 (* a fresh empty cache in a unique directory under the system temp dir,
    so runs never collide and nothing is left in the source tree *)
-let fresh_cache ?max_entries ?shards name =
+let fresh_cache ?max_entries name =
   let marker = Filename.temp_file ("chow88-" ^ name) ".cache" in
   Sys.remove marker;
-  let cache = Cache.create ?max_entries ?shards ~dir:marker () in
+  let cache = Cache.create ?max_entries ~dir:marker () in
   Cache.clear cache;
   cache
 
@@ -351,11 +351,11 @@ let test_eviction_mtime_tie_break () =
 
 let conc_keys = List.init 16 (fun i -> Printf.sprintf "conc%02x" i)
 
-(** Two domains hammering one sharded cache value: every find of a
+(** Two domains hammering one cache value: every find of a
     pre-stored key must hit with an intact artifact, nothing may be
     flagged corrupt, and the atomic counters must sum exactly. *)
 let test_concurrent_domains () =
-  let cache = fresh_cache ~shards:4 "domains" in
+  let cache = fresh_cache "domains" in
   let c = Pipeline.compile_source Config.o3_sw (Pipeline.Srcs two_units) in
   let art = List.hd (Pipeline.artifacts c) in
   List.iter (fun k -> Cache.store cache k art) conc_keys;

@@ -196,6 +196,49 @@ let test_trace_multi_domain_merge () =
     "worker timelines differ from the caller's" true
     (not (List.mem (tid "merge:caller") worker_tids))
 
+(* sys-threads of one domain share its buffer: concurrent pushes must
+   neither tear it (out-of-bounds on a racing grow) nor lose an event.
+   Every event sits on its own line of the written trace, between the
+   opening and closing bracket lines. *)
+let test_trace_threads_share_buffer () =
+  let threads = 4 and per_thread = 100_000 in
+  let failed = Atomic.make None in
+  let path = Filename.temp_file "chow88-trace-threads" ".json" in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ();
+      Sys.remove path)
+    (fun () ->
+      List.init threads (fun _ ->
+          Thread.create
+            (fun () ->
+              try
+                for _ = 1 to per_thread do
+                  Trace.span "thread" ignore
+                done
+              with e -> Atomic.set failed (Some (Printexc.to_string e)))
+            ())
+      |> List.iter Thread.join;
+      Option.iter (Alcotest.failf "a tracing thread raised %s")
+        (Atomic.get failed);
+      Trace.write_file path;
+      let ic = open_in path in
+      let rec count n =
+        match input_line ic with
+        | line ->
+            count
+              (if String.length line > 9 && String.sub line 0 9 = "{\"name\":\""
+               then n + 1
+               else n)
+        | exception End_of_file -> n
+      in
+      let events = count 0 in
+      close_in ic;
+      Alcotest.(check int) "every event kept" (threads * per_thread) events)
+
 (* ----- metrics ----- *)
 
 let test_metrics_disabled_noop () =
@@ -678,6 +721,8 @@ let suite =
         test_trace_exception_closes_span;
       Alcotest.test_case "trace: spans from other domains are merged" `Quick
         test_trace_multi_domain_merge;
+      Alcotest.test_case "trace: sys-threads of one domain lose nothing"
+        `Quick test_trace_threads_share_buffer;
       Alcotest.test_case "metrics: disabled add is a no-op" `Quick
         test_metrics_disabled_noop;
       Alcotest.test_case "metrics: counter and histogram" `Quick

@@ -8,7 +8,6 @@ module Protocol = Chow_server.Protocol
 module Scheduler = Chow_server.Scheduler
 module Server = Chow_server.Server
 module Client = Chow_server.Client
-module Cache = Chow_compiler.Cache
 module Metrics = Chow_obs.Metrics
 module Flight = Chow_obs.Flight
 module Json = Chow_obs.Json
@@ -229,7 +228,8 @@ let fresh_dir name =
   Unix.mkdir d 0o700;
   d
 
-let with_server ?(workers = 2) ?(queue_bound = 16) name f =
+let with_server ?(workers = 2) ?(queue_bound = 16) ?cache_max_entries name f
+    =
   (* the registry and the flight rings are global and other suites leave
      residues; the daemon tests assert exact counter values and event
      sets, so start both from zero *)
@@ -240,7 +240,7 @@ let with_server ?(workers = 2) ?(queue_bound = 16) name f =
   let server =
     Server.create ~workers ~queue_bound
       ~cache_dir:(Filename.concat dir "cache")
-      ~socket_path ()
+      ?cache_max_entries ~socket_path ()
   in
   let th = Thread.create Server.serve server in
   Fun.protect
@@ -808,9 +808,6 @@ let test_cli_rejects_out_of_range () =
       ("--workers", "serve --socket " ^ sock ^ " --workers 0");
       ("--queue-bound", "serve --socket " ^ sock ^ " --queue-bound 0");
       ("--queue-bound", "serve --socket " ^ sock ^ " --queue-bound=-1");
-      ( "--shards",
-        "serve --socket " ^ sock ^ " --cache-dir " ^ Filename.concat dir "c"
-        ^ " --shards 0" );
       ( "--sample-interval",
         "serve --socket " ^ sock ^ " --telemetry "
         ^ Filename.concat dir "t.jsonl" ^ " --sample-interval nan" );
@@ -820,51 +817,41 @@ let test_cli_rejects_out_of_range () =
       ("--interval", "top --socket " ^ sock ^ " --interval nan");
     ]
 
-(* ----- shard routing ----- *)
+(* ----- the cache bound through the daemon ----- *)
 
-let test_shard_routing () =
-  let dir = fresh_dir "routing" in
-  let cache = Cache.create ~shards:4 ~dir () in
-  Alcotest.(check int) "shard count" 4 (Cache.shards cache);
-  let keys =
-    List.init 64 (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
-  in
-  let seen = Hashtbl.create 4 in
-  List.iter
-    (fun k ->
-      let idx = Cache.shard_index cache k in
-      if idx < 0 || idx >= 4 then Alcotest.failf "index %d out of range" idx;
-      if Cache.shard_index cache k <> idx then
-        Alcotest.fail "routing not deterministic";
-      Hashtbl.replace seen idx ())
-    keys;
-  Alcotest.(check int)
-    "digest keys spread across all shards" 4 (Hashtbl.length seen);
-  (* a 1-shard cache routes everything to 0 *)
-  let flat = Cache.create ~dir () in
-  List.iter
-    (fun k ->
-      Alcotest.(check int) "single shard" 0 (Cache.shard_index flat k))
-    keys;
-  (* more than 16 shards: routing reads two hex digits (256 prefixes),
-     so every shard is reachable — no slice of the entry budget is
-     stranded on a shard no key can route to *)
-  let wide = Cache.create ~shards:32 ~dir () in
-  Alcotest.(check int) "wide shard count" 32 (Cache.shards wide);
-  let wide_seen = Hashtbl.create 32 in
-  for i = 0 to 255 do
-    let k = Printf.sprintf "%02x0123456789abcdef" i in
-    let idx = Cache.shard_index wide k in
-    if idx < 0 || idx >= 32 then Alcotest.failf "wide index %d out of range" idx;
-    Hashtbl.replace wide_seen idx ()
-  done;
-  Alcotest.(check int)
-    "all 32 shards reachable" 32 (Hashtbl.length wide_seen);
-  (* beyond the 256 addressable prefixes the count clamps instead of
-     silently shrinking effective capacity *)
-  Alcotest.(check int)
-    "shards clamp at 256" 256
-    (Cache.shards (Cache.create ~shards:1000 ~dir ()))
+(* [--max-entries] is a bound on the whole cache, not a per-slice quota:
+   16 distinct units through a daemon bounded at 2 leave exactly 2
+   artifacts, as the gauge and the directory both report.  Which 2
+   survive is not asserted — entries stored within one mtime second are
+   aged by key, not by recency. *)
+let test_server_cache_bound_exact () =
+  (* 4 workers, the daemon's default *)
+  with_server ~workers:4 ~cache_max_entries:2 "bound" (fun socket_path ->
+      Client.with_connection ~socket_path (fun c ->
+          for i = 1 to 16 do
+            match
+              Client.request c
+                (compile_req ~action:Protocol.Build
+                   [ Printf.sprintf "proc main() { print(%d); }" i ])
+            with
+            | Protocol.Done _ -> ()
+            | _ -> Alcotest.failf "build %d failed" i
+          done;
+          (match Client.request c Protocol.Stats with
+          | Protocol.Stats_reply counters ->
+              Alcotest.(check (option int))
+                "cache.entries gauge" (Some 2)
+                (List.assoc_opt "cache.entries" counters)
+          | _ -> Alcotest.fail "Stats failed");
+          let cache_dir =
+            Filename.concat (Filename.dirname socket_path) "cache"
+          in
+          Alcotest.(check int)
+            "artifacts on disk" 2
+            (List.length
+               (List.filter
+                  (fun n -> Filename.check_suffix n ".pawno")
+                  (Array.to_list (Sys.readdir cache_dir))))))
 
 let suite =
   ( "server",
@@ -905,6 +892,6 @@ let suite =
         test_request_busy_exits_3;
       Alcotest.test_case "cli: out-of-range options exit 2" `Quick
         test_cli_rejects_out_of_range;
-      Alcotest.test_case "cache: shard routing deterministic and spread"
-        `Quick test_shard_routing;
+      Alcotest.test_case "daemon: --max-entries bound is exact" `Quick
+        test_server_cache_bound_exact;
     ] )
