@@ -19,9 +19,10 @@
     - [warm-logged]: the warm mix re-run with the structured log enabled
       at info — the pair that measures what logging costs (the
       regression gate holds its p50 within 2x of the silent warm mix).
-      Both re-runs sit directly after [warm] so each pair shares machine
-      conditions: mixes late in the sequence drift upward on a loaded
-      host, and the budgets must gate telemetry, not position.
+      [warm], [warm-sampled] and [warm-logged] run in several
+      interleaved rounds and each row is the median over its mix's
+      rounds, so the pairs share machine conditions: the budgets must
+      gate telemetry, not drift or a burst of contention on the host.
 
     Each mix also reports [server/<mix>/queue_wait_p99]: the p99 of the
     server-side [server.build.queue_wait_us] histogram over exactly that
@@ -258,6 +259,23 @@ let run_mix ~name ~workers ~concurrency ~total ?(logged = false)
         res.throughput;
       res)
 
+(* the median run of each field over repeated runs of one mix *)
+let median_result rs =
+  let med f =
+    let a = Array.of_list (List.map f rs) in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  {
+    p50_ns = med (fun r -> r.p50_ns);
+    p99_ns = med (fun r -> r.p99_ns);
+    throughput = med (fun r -> r.throughput);
+    queue_wait_p99_ns = med (fun r -> r.queue_wait_p99_ns);
+  }
+
+(* interleaved rounds of the warm, warm-sampled and warm-logged mixes *)
+let repeats = 5
+
 (** The benchmark: every mix, as [(name, ns)] latency rows plus
     [(name, value)] throughput/meta rows for {!Timing.write_json}. *)
 let rows ~smoke () =
@@ -268,29 +286,35 @@ let rows ~smoke () =
       (fun i -> build_req ~id:i (cold_src i))
       ~seed:false
   in
-  let warm =
-    run_mix ~name:"warm" ~workers ~concurrency ~total:(scale 2000)
-      (fun i -> build_req ~id:i (warm_src i))
-      ~seed:true
-  in
-  (* directly after [warm]: the 1.1x sampling budget compares these two,
-     so they must not sit at opposite ends of the sequence where slow
-     drift on a loaded host would masquerade as telemetry cost.  The
+  (* The 1.1x sampling budget compares warm-sampled with warm, and the 2x
+     logging budget warm-logged with warm.  One run of each is a coin flip
+     on a loaded host, so the three classes are measured in [repeats]
+     interleaved rounds, and each row is the median over its class's
+     runs: drift and bursts of contention fall on all three alike.  The
      sampler runs at an aggressive 200ms (5x the default rate) — if 5
      snapshots a second fit the budget, the default 1s surely does *)
-  let sampled =
-    run_mix ~name:"warm-sampled" ~workers ~concurrency
-      ~total:(scale 2000) ~sampled:true
-      (fun i -> build_req ~id:i (warm_src i))
-      ~seed:true
+  let rounds =
+    List.init repeats (fun k ->
+        let run ?logged ?sampled name =
+          run_mix
+            ~name:(Printf.sprintf "%s#%d" name (k + 1))
+            ~workers ~concurrency ~total:(scale 2000) ?logged ?sampled
+            (fun i -> build_req ~id:i (warm_src i))
+            ~seed:true
+        in
+        let warm = run "warm" in
+        let sampled = run ~sampled:true "warm-sampled" in
+        let logged = run ~logged:true "warm-logged" in
+        (warm, sampled, logged))
   in
-  (* the 2x logging budget likewise compares warm-logged against warm *)
-  let logged =
-    run_mix ~name:"warm-logged" ~workers ~concurrency
-      ~total:(scale 2000) ~logged:true
-      (fun i -> build_req ~id:i (warm_src i))
-      ~seed:true
-  in
+  let warm = median_result (List.map (fun (w, _, _) -> w) rounds) in
+  let sampled = median_result (List.map (fun (_, s, _) -> s) rounds) in
+  let logged = median_result (List.map (fun (_, _, l) -> l) rounds) in
+  List.iter
+    (fun (name, r) ->
+      Format.printf "server/%-14s p50 %8.1f us  (median of %d runs)@." name
+        (r.p50_ns /. 1e3) repeats)
+    [ ("warm", warm); ("warm-sampled", sampled); ("warm-logged", logged) ];
   let mixed =
     run_mix ~name:"mixed" ~workers ~concurrency ~total:(scale 1000)
       (fun i ->

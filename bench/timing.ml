@@ -27,12 +27,15 @@ let compile_test ~name config src =
 (* Simulator throughput: one run of an already-compiled program.  The
    decoded engine's pre-decode pass is part of every run (included and
    amortized, not cached), so the pair below is an honest end-to-end
-   comparison of Sim.run against Sim.run_reference. *)
+   comparison of Sim.run against Sim.run_reference.  The unchecked engine
+   is the decoded one with the contract checker off: its distance to the
+   checked row is what the checker costs. *)
 let sim_test ~name ~engine config src =
   let prog = Pipeline.program (Pipeline.compile_source config (Pipeline.Src src)) in
   let run =
     match engine with
     | `Decoded -> fun () -> ignore (Sim.run prog)
+    | `Decoded_unchecked -> fun () -> ignore (Sim.run ~check:false prog)
     | `Reference -> fun () -> ignore (Sim.run_reference prog)
   in
   Test.make ~name (Staged.stage run)
@@ -46,6 +49,8 @@ let sim_tests () =
     sim_test ~name:"sim/uopt-O2-reference" ~engine:`Reference Config.baseline
       uopt;
     sim_test ~name:"sim/uopt-O3+sw-decoded" ~engine:`Decoded Config.o3_sw uopt;
+    sim_test ~name:"sim/uopt-O3+sw-decoded-unchecked"
+      ~engine:`Decoded_unchecked Config.o3_sw uopt;
     sim_test ~name:"sim/uopt-O3+sw-reference" ~engine:`Reference Config.o3_sw
       uopt;
   ]
@@ -382,7 +387,7 @@ let run ?(json = false) ?(smoke = false) ?(penalty = false) ?(pgo = false)
   in
   List.iter
     (fun (name, ns) ->
-      Format.printf "%-36s %12.1f us/run@." name (ns /. 1000.))
+      Format.printf "%-40s %12.1f us/run@." name (ns /. 1000.))
     rows;
   (* the serve bench runs last: it spins up in-process daemons whose
      worker domains would perturb the single-threaded timings above *)

@@ -250,7 +250,9 @@ let server_invariants ~flunk current =
        the background sampler armed may cost at most 1.1x the silent warm
        mix at the median (the acceptance gate the telemetry layer ships
        under — a sampler that taxes the serving path 10% is a bug, not an
-       observability feature) *)
+       observability feature).  Both rows are medians over interleaved
+       rounds of the two mixes (see Serve_bench), so one noisy run cannot
+       decide the verdict *)
     match (ns "server/warm-sampled/p50", ns "server/warm/p50") with
     | Some sampled, Some warm when warm > 0. ->
         if sampled > warm *. 1.1 then

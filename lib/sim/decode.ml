@@ -13,7 +13,18 @@
     set of parallel int arrays (return pc, sp at entry, meta index, snapshot
     base) and the per-call register snapshots live in one flat int buffer
     indexed by frame; both grow geometrically and are reused across the
-    run.
+    run.  A call snapshots only what the callee can write: [decode] runs a
+    may-write analysis over the linked code ({!may_write}) and keeps, of
+    each contract's preserved registers, those some instruction the
+    callee's activation can reach writes, in the published order.  The
+    checker traps any call off a contract entry and any return off the
+    call site, so a register no reachable instruction writes cannot change
+    while it runs; dropping it never changes a verdict, and the first
+    clobber reported, hence the error text, is the same.  Under IPRA a
+    closed procedure preserves everything outside its usage mask, most of
+    the register file, and can write a handful: at [-O3] the 13 paper
+    programs' contracts list 3,335 preserved registers, of which 66 are
+    snapshot.
 
     Memory is paged and materialised lazily (see [load] and [store]), so a
     run costs the pages it writes rather than a zero-filled 8 MiB array.
@@ -148,6 +159,112 @@ type hooks = {
    zero check because regs.(0) is never written. *)
 let dst r = if r = Machine.zero then Machine.nregs else r
 
+(** [may_write ~ops ~fa ~fc meta_of_pc entries] is, for each contract [m]
+    entered at [entries.(m)], the set of registers an activation of it can
+    write, as a bitmask over [Machine.nregs] (31 registers, so one int
+    holds the set).  It reads only the decoded instructions, never the
+    usage masks the checker exists to check.  A walk from the entry
+    follows fall-through and every [B] and [J] target, wherever it lands,
+    and stops at [Jr], [Halt], unlinked instructions and out-of-range pcs;
+    a call continues at its return site.  Each reached instruction adds
+    its destination register, a call adds [ra].  [Jal_pc t] adds an edge
+    to the contract entered at [t], [Jalr] one to every contract, and the
+    union over those edges is iterated to a fixpoint, which covers
+    recursion.
+
+    Sound while the checker is armed: it traps a call to any pc that is
+    not a contract entry and a return anywhere but the call site, so an
+    activation executes only pcs its walk (or a callee's) reaches. *)
+let may_write ~ops ~fa ~fc (meta_of_pc : int array) (entries : int array) :
+    int array =
+  let n = Array.length ops in
+  let nm = Array.length entries in
+  let w = Array.make nm 0 in
+  let callees = Array.make nm [] in
+  let calls_any = Array.make nm false in
+  (* [seen] stamps each pc with the walk that reached it, numbered 1..255
+     and wrapping with a reset, so a walk reaches each pc once.  A byte per
+     pc and a 64-slot stack to start with usually fit the minor heap: a
+     fresh process pays page faults for every major-heap array *)
+  let seen = Bytes.make n '\000' in
+  let stack = ref (Array.make 64 0) and top = ref 0 in
+  for m = 0 to nm - 1 do
+    let stamp = Char.chr ((m mod 255) + 1) in
+    if m > 0 && m mod 255 = 0 then Bytes.fill seen 0 n '\000';
+    let push pc =
+      if pc >= 0 && pc < n && Bytes.unsafe_get seen pc <> stamp then begin
+        Bytes.unsafe_set seen pc stamp;
+        if !top = Array.length !stack then begin
+          let bigger = Array.make (2 * !top) 0 in
+          Array.blit !stack 0 bigger 0 !top;
+          stack := bigger
+        end;
+        !stack.(!top) <- pc;
+        incr top
+      end
+    in
+    let acc = ref 0 in
+    push entries.(m);
+    while !top > 0 do
+      decr top;
+      (* run from a pushed pc along fall-through and jumps, pushing branch
+         targets, until a pc with no successor or one already reached *)
+      let pc = ref !stack.(!top) in
+      while !pc >= 0 do
+        let i = !pc in
+        let op = ops.(i) in
+        pc := -1;
+        if op >= k_li && op < k_sw then begin
+          (* fa is the destination, the zero register already redirected
+             to the dump slot [Machine.nregs], which no contract lists *)
+          acc := !acc lor (1 lsl fa.(i));
+          pc := i + 1
+        end
+        else if op >= k_b && op < k_j then begin
+          push fc.(i);
+          pc := i + 1
+        end
+        else if op = k_j then pc := fa.(i)
+        else if op = k_jal then begin
+          acc := !acc lor (1 lsl Machine.ra);
+          let t = fa.(i) in
+          let c = if t >= 0 && t < n then meta_of_pc.(t) else -1 in
+          if c >= 0 then callees.(m) <- c :: callees.(m);
+          pc := i + 1
+        end
+        else if op = k_jalr then begin
+          acc := !acc lor (1 lsl Machine.ra);
+          calls_any.(m) <- true;
+          pc := i + 1
+        end
+        else if op <> k_halt && op <> k_jr && op <> k_unlinked then
+          pc := i + 1;
+        let p = !pc in
+        if p >= 0 then
+          if p < n && Bytes.unsafe_get seen p <> stamp then
+            Bytes.unsafe_set seen p stamp
+          else pc := -1
+      done
+    done;
+    w.(m) <- !acc
+  done;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let all = Array.fold_left ( lor ) 0 w in
+    for m = 0 to nm - 1 do
+      let acc =
+        List.fold_left (fun acc c -> acc lor w.(c)) w.(m) callees.(m)
+      in
+      let acc = if calls_any.(m) then acc lor all else acc in
+      if acc <> w.(m) then begin
+        w.(m) <- acc;
+        changed := true
+      end
+    done
+  done;
+  w
+
 let decode (prog : Asm.program) : t =
   let code = prog.Asm.code in
   let n = Array.length code in
@@ -187,10 +304,22 @@ let decode (prog : Asm.program) : t =
   let nmetas = Array.length metas in
   let meta_name = Array.make (nmetas + 1) "<unknown>" in
   let meta_preserved = Array.make (nmetas + 1) [||] in
+  let may =
+    may_write ~ops ~fa ~fc meta_of_pc
+      (Array.of_list (List.map fst prog.Asm.metas))
+  in
+  (* snapshot only the preserved registers the callee can write, in the
+     published order, so the first clobber reported is unchanged; an
+     out-of-range register is kept, to fail as it would unpruned *)
   Array.iteri
     (fun i (m : Asm.meta) ->
       meta_name.(i) <- m.Asm.m_name;
-      meta_preserved.(i) <- Array.of_list m.Asm.m_preserved)
+      meta_preserved.(i) <-
+        Array.of_list
+          (List.filter
+             (fun r ->
+               r < 0 || r >= Machine.nregs || may.(i) land (1 lsl r) <> 0)
+             m.Asm.m_preserved))
     metas;
   {
     ops;
@@ -385,35 +514,37 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
     snap_cap := !c
   in
   let overflow_limit = prog.Asm.data_size + 64 in
-  let pc = ref prog.Asm.entry in
-  let oob addr =
-    error "memory access out of bounds: %d (pc %d, in %s)" addr !pc
-      (attribute_pc t.entries t.names !pc)
+  (* [pc] and [cycles] stay unboxed locals of the loop below: the helpers
+     that need them take them as arguments rather than capturing the refs *)
+  let oob addr pc =
+    error "memory access out of bounds: %d (pc %d, in %s)" addr pc
+      (attribute_pc t.entries t.names pc)
   in
   (* tracing is sampled on the call path only (every 256th call), and the
      enabled check is hoisted out of the loop: the hot path is untouched
      when tracing is off *)
   let tr = Trace.is_on () in
-  let do_call target return_pc =
+  let do_call site target cycles =
+    let return_pc = site + 1 in
     incr calls;
     if tr && !calls land 255 = 0 then
       Trace.counter "sim.traffic"
         [
-          ("cycles", !cycles);
+          ("cycles", cycles);
           ("calls", !calls);
           ("scalar_loads", loads.(1) + loads.(2) + loads.(3) + loads.(4));
           ("scalar_stores", stores.(1) + stores.(2) + stores.(3) + stores.(4));
         ];
     if regs.(Machine.sp) <= overflow_limit then
-      error "stack overflow (pc %d, in %s)" !pc
-        (attribute_pc t.entries t.names !pc);
+      error "stack overflow (pc %d, in %s)" site
+        (attribute_pc t.entries t.names site);
     if target < 0 || target >= ncode then
-      error "call to invalid address %d (pc %d, in %s)" target !pc
-        (attribute_pc t.entries t.names !pc);
+      error "call to invalid address %d (pc %d, in %s)" target site
+        (attribute_pc t.entries t.names site);
     regs.(Machine.ra) <- return_pc;
     (match hooks with
     | Some h ->
-        h.h_call ~site:(return_pc - 1) ~target ~cycles:!cycles
+        h.h_call ~site ~target ~cycles
           ~contract_saves:stores.(2) ~contract_restores:loads.(2)
           ~call_saves:stores.(3) ~call_restores:loads.(3)
     | None -> ());
@@ -423,8 +554,8 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
         if m >= 0 then m
         else if t.has_metas then
           error "call to %d, which is not a procedure entry (pc %d, in %s)"
-            target !pc
-            (attribute_pc t.entries t.names !pc)
+            target site
+            (attribute_pc t.entries t.names site)
         else t.unknown_meta
       in
       if !depth = !frame_cap then grow_frames ();
@@ -445,18 +576,18 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
     end;
     target
   in
-  let do_return () =
+  let do_return pc cycles =
     let target = regs.(Machine.ra) in
     (match hooks with
     | Some h ->
-        h.h_return ~cycles:!cycles ~contract_saves:stores.(2)
+        h.h_return ~cycles ~contract_saves:stores.(2)
           ~contract_restores:loads.(2) ~call_saves:stores.(3)
           ~call_restores:loads.(3)
     | None -> ());
     if check then begin
       if !depth = 0 then
-        error "return with empty call stack (pc %d, in %s)" !pc
-          (attribute_pc t.entries t.names !pc);
+        error "return with empty call stack (pc %d, in %s)" pc
+          (attribute_pc t.entries t.names pc);
       let d = !depth - 1 in
       depth := d;
       let m = !fr_meta.(d) in
@@ -480,6 +611,7 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
     end;
     target
   in
+  let pc = ref prog.Asm.entry in
   let running = ref true in
   while !running do
     if !cycles >= fuel then
@@ -619,61 +751,61 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
         pc := next
     | 37 (* lw data *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         regs.(a) <- load pages addr;
         loads.(0) <- loads.(0) + 1;
         pc := next
     | 38 (* lw scalar *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         regs.(a) <- load pages addr;
         loads.(1) <- loads.(1) + 1;
         pc := next
     | 39 (* lw save *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         regs.(a) <- load pages addr;
         loads.(2) <- loads.(2) + 1;
         pc := next
     | 40 (* lw callsave *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         regs.(a) <- load pages addr;
         loads.(3) <- loads.(3) + 1;
         pc := next
     | 41 (* lw stackarg *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         regs.(a) <- load pages addr;
         loads.(4) <- loads.(4) + 1;
         pc := next
     | 42 (* sw data *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         store pages zero_page addr regs.(a);
         stores.(0) <- stores.(0) + 1;
         pc := next
     | 43 (* sw scalar *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         store pages zero_page addr regs.(a);
         stores.(1) <- stores.(1) + 1;
         pc := next
     | 44 (* sw save *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         store pages zero_page addr regs.(a);
         stores.(2) <- stores.(2) + 1;
         pc := next
     | 45 (* sw callsave *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         store pages zero_page addr regs.(a);
         stores.(3) <- stores.(3) + 1;
         pc := next
     | 46 (* sw stackarg *) ->
         let addr = regs.(b) + c in
-        if addr < 0 || addr >= mem_words then oob addr;
+        if addr < 0 || addr >= mem_words then oob addr i;
         store pages zero_page addr regs.(a);
         stores.(4) <- stores.(4) + 1;
         pc := next
@@ -684,9 +816,9 @@ let execute ?(fuel = 500_000_000) ?(check = true) ?(profile = false) ?hooks
     | 51 (* b gt *) -> pc := (if regs.(a) > regs.(b) then c else next)
     | 52 (* b ge *) -> pc := (if regs.(a) >= regs.(b) then c else next)
     | 53 (* j *) -> pc := a
-    | 54 (* jal *) -> pc := do_call a next
-    | 55 (* jalr *) -> pc := do_call regs.(a) next
-    | 56 (* jr *) -> pc := do_return ()
+    | 54 (* jal *) -> pc := do_call i a !cycles
+    | 55 (* jalr *) -> pc := do_call i regs.(a) !cycles
+    | 56 (* jr *) -> pc := do_return i !cycles
     | 57 (* print *) ->
         output := regs.(a) :: !output;
         pc := next

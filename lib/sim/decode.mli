@@ -4,7 +4,11 @@
     form (int opcodes with the binop/relop/tag variant folded in, operands
     pre-resolved, per-pc procedure-meta indices); [execute] interprets it
     with a jump-table dispatch loop and an allocation-free contract
-    checker.
+    checker.  [decode] also works out, from the linked instructions alone,
+    which registers each procedure's activation can write, and the checker
+    snapshots only the preserved registers among them: the others cannot
+    change while the checker is armed, so its verdicts and messages are
+    those of a full snapshot.
 
     Memory is paged: the {!Chow_machine.Machine.mem_words}-word address
     space is a table of 4096-word pages that all start out as one shared

@@ -16,7 +16,10 @@
     callee-saved set for open procedures, everything outside the published
     usage mask for closed ones — still holds its value from entry.  This is
     the dynamic proof that IPRA, shrink-wrapping and the around-call saves
-    compose correctly.
+    compose correctly.  The decoded engine snapshots at each call only the
+    preserved registers the callee's reachable code can write (see
+    {!Decode}); the reference engine snapshots them all, so the
+    differential suite also checks that pruning.
 
     Two engines implement the same semantics.  {!run} is the pre-decoded
     threaded engine ({!Decode}): a one-time pass specializes the program

@@ -9,41 +9,73 @@ module Sim = Chow_sim.Sim
 module Config = Chow_compiler.Config
 module Pipeline = Chow_compiler.Pipeline
 
-(* hand-assembled program: main calls f; pc 0/1 is the startup stub *)
-let program ~f_body ~preserved =
-  let main_body =
-    [
-      Asm.Binopi (Ir.Sub, Machine.sp, Machine.sp, 1);
-      Asm.Sw (Machine.ra, Machine.sp, 0, Asm.Tsave);
-      Asm.Li (Machine.s0, 77);
-      Asm.Jal_pc (-1) (* patched below *);
-      Asm.Print (Machine.s0);
-      Asm.Lw (Machine.ra, Machine.sp, 0, Asm.Tsave);
-      Asm.Binopi (Ir.Add, Machine.sp, Machine.sp, 1);
-      Asm.Jr;
-    ]
+(* Multi-procedure hand assembly: [link procs] lays out the startup stub,
+   then each [(name, preserved, body)] in order, main first.  A body is a
+   function of the address table, so it can name another procedure's
+   entry ([addr "h"]) in a call, a jump or a loaded address; it is laid out
+   once with dummy addresses to measure, then again for real.  Procedures
+   with [preserved = None] publish no contract. *)
+let link procs =
+  let bodies addr = List.map (fun (n, p, body) -> (n, p, body addr)) procs in
+  let _, addrs =
+    List.fold_left
+      (fun (pc, acc) (n, _, body) -> (pc + List.length body, (n, pc) :: acc))
+      (2, [])
+      (bodies (fun _ -> 0))
   in
-  let stub = [ Asm.Jal_pc 2; Asm.Halt ] in
-  let f_addr = 2 + List.length main_body in
-  let main_body =
-    List.map
-      (function Asm.Jal_pc n when n < 0 -> Asm.Jal_pc f_addr | i -> i)
-      main_body
-  in
-  let code = Array.of_list (stub @ main_body @ f_body) in
+  let addr n = List.assoc n addrs in
+  let procs = bodies addr in
   {
-    Asm.code;
+    Asm.code =
+      Array.of_list
+        ([ Asm.Jal_pc (addr "main"); Asm.Halt ]
+        @ List.concat_map (fun (_, _, b) -> b) procs);
     entry = 0;
-    proc_addrs = [ ("main", 2); ("f", f_addr) ];
+    proc_addrs = List.map (fun (n, _, _) -> (n, addr n)) procs;
     metas =
-      [
-        (2, { Asm.m_name = "main"; m_preserved = Machine.callee_saved });
-        (f_addr, { Asm.m_name = "f"; m_preserved = preserved });
-      ];
+      List.filter_map
+        (fun (n, p, _) ->
+          Option.map (fun p -> (addr n, { Asm.m_name = n; m_preserved = p })) p)
+        procs;
     data_size = 0;
     data_init = [];
     block_pcs = [];
   }
+
+(* a procedure body that saves ra around [insts] *)
+let framed insts =
+  [
+    Asm.Binopi (Ir.Sub, Machine.sp, Machine.sp, 1);
+    Asm.Sw (Machine.ra, Machine.sp, 0, Asm.Tsave);
+  ]
+  @ insts
+  @ [
+      Asm.Lw (Machine.ra, Machine.sp, 0, Asm.Tsave);
+      Asm.Binopi (Ir.Add, Machine.sp, Machine.sp, 1);
+      Asm.Jr;
+    ]
+
+(* main sets s0, calls f, prints s0 *)
+let main_calls_f =
+  ( "main",
+    Some Machine.callee_saved,
+    fun addr ->
+      framed
+        [ Asm.Li (Machine.s0, 77); Asm.Jal_pc (addr "f"); Asm.Print Machine.s0 ]
+  )
+
+(* hand-assembled program: main calls f *)
+let program ~f_body ~preserved =
+  link [ main_calls_f; ("f", Some preserved, fun _ -> f_body) ]
+
+(* f promises to preserve every callee-saved register; the procedures laid
+   out [before] and after it (which publish an empty contract) are where
+   the clobber of s0 really happens *)
+let clobber_reaches_f ?(before = []) ~f_body others =
+  link
+    ([ main_calls_f ] @ before
+    @ [ ("f", Some Machine.callee_saved, f_body) ]
+    @ others)
 
 let test_checker_catches_clobber () =
   let prog =
@@ -195,6 +227,89 @@ let check_engines_agree ?fuel ?profile name prog =
       Alcotest.failf "%s: decoded succeeded, reference trapped: %s" name r
   | Error d, Ok _ ->
       Alcotest.failf "%s: decoded trapped (%s), reference succeeded" name d
+
+(* The checker snapshots only the registers the callee can write.  Each
+   clobber here is on a path f's write set must follow (a callee's callee,
+   the return site of a call, an indirect call, a taken branch, a path
+   with many branches left to explore, a jump out of f, code an earlier
+   walk reached) or made by an instruction it must count (a load).  Each
+   must be caught, with the reference engine's exact message. *)
+let test_checker_follows_clobber_paths () =
+  let h_clobbers =
+    ("h", Some [], fun _ -> [ Asm.Li (Machine.s0, 0); Asm.Jr ])
+  in
+  let cases =
+    [
+      ( "transitive callee",
+        clobber_reaches_f
+          ~f_body:(fun addr -> framed [ Asm.Jal_pc (addr "g") ])
+          [
+            ("g", Some [], fun addr -> framed [ Asm.Jal_pc (addr "h") ]);
+            h_clobbers;
+          ] );
+      ( "after a call returns",
+        clobber_reaches_f
+          ~f_body:(fun addr ->
+            framed [ Asm.Jal_pc (addr "g"); Asm.Li (Machine.s0, 0) ])
+          [ ("g", Some [], fun _ -> [ Asm.Jr ]) ] );
+      ( "jalr target",
+        clobber_reaches_f
+          ~f_body:(fun addr ->
+            framed [ Asm.Li (Machine.t0, addr "h"); Asm.Jalr Machine.t0 ])
+          [ h_clobbers ] );
+      ( "branch target",
+        clobber_reaches_f
+          ~f_body:(fun addr ->
+            [
+              Asm.B (Ir.Eq, Machine.zero, Machine.zero, addr "f" + 2);
+              Asm.Jr;
+              Asm.Li (Machine.s0, 0);
+              Asm.Jr;
+            ])
+          [] );
+      ( "past a hundred pending branch targets",
+        clobber_reaches_f
+          ~f_body:(fun addr ->
+            let f = addr "f" in
+            List.init 100 (fun k ->
+                Asm.B (Ir.Ne, Machine.zero, Machine.zero, f + 102 + k))
+            @ [ Asm.Li (Machine.s0, 0); Asm.Jr ]
+            @ List.init 100 (fun _ -> Asm.Jr))
+          [] );
+      (* f is the 257th contract, and the walk from the second one ran
+         through f's code before f's own walk starts *)
+      ( "after 255 other contracts",
+        clobber_reaches_f
+          ~before:
+            (("early", Some [], fun addr -> [ Asm.J (addr "f") ])
+            :: List.init 254 (fun k ->
+                   (Printf.sprintf "filler%d" k, Some [], fun _ -> [ Asm.Jr ])))
+          ~f_body:(fun _ -> [ Asm.Li (Machine.s0, 0); Asm.Jr ])
+          [] );
+      ( "load",
+        clobber_reaches_f
+          ~f_body:(fun _ ->
+            [ Asm.Lw (Machine.s0, Machine.zero, 0, Asm.Tdata); Asm.Jr ])
+          [] );
+      ( "jump out of f's range",
+        clobber_reaches_f
+          ~f_body:(fun addr -> [ Asm.J (addr "tail") ])
+          [
+            ("g", Some [], fun _ -> [ Asm.Jr ]);
+            ("tail", None, fun _ -> [ Asm.Li (Machine.s0, 0); Asm.Jr ]);
+          ] );
+    ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      check_engines_agree name prog;
+      match capture (fun () -> Sim.run prog) with
+      | Ok _ -> Alcotest.failf "%s: clobber of s0 not caught" name
+      | Error msg ->
+          Alcotest.(check string)
+            (name ^ ": names f and s0")
+            "f: clobbered preserved register $s0 (0 <> 77)" msg)
+    cases
 
 let test_diff_fuel_exhaustion () =
   let src = "proc main() { var x = 1; while (x == 1) { x = 1; } }" in
@@ -369,9 +484,14 @@ let test_diff_profile_counts () =
 (* Random differential testing: compile a random Genprog program, run both
    engines on it, then mutate one instruction of the linked image into a
    trap (division by zero, an access below or above memory, or a wild
-   call) or a memory edge (the top word, either side of a page boundary,
-   often a never-written page) and insist the engines still agree —
-   including on the exact error message. *)
+   call), a memory edge (the top word, either side of a page boundary,
+   often a never-written page) or a contract breach (a preserved register
+   overwritten, a save-restore turned into a move to an unrelated
+   register, a jump anywhere) and insist the engines still agree —
+   including on the exact error message.  The reference engine snapshots
+   every preserved register at a call, so a register the decoded engine's
+   may-write analysis wrongly leaves out of its snapshot shows up as a
+   disagreement. *)
 
 let mutate rng (prog : Asm.program) =
   let code = Array.copy prog.Asm.code in
@@ -383,14 +503,40 @@ let mutate rng (prog : Asm.program) =
     if int 2 = 0 then Asm.Lw (Machine.t0, Machine.zero, addr, Asm.Tdata)
     else Asm.Sw (Machine.t0, Machine.zero, addr, Asm.Tdata)
   in
-  let kind, inst =
-    match int 6 with
-    | 0 -> ("divzero", Asm.Binopi (Ir.Div, Machine.t0, Machine.t0, 0))
-    | 1 -> ("oob", access (-1 - int 7))
-    | 2 -> ("oob-top", access (Machine.mem_words + int 7))
-    | 3 -> ("top", access (Machine.mem_words - 1))
-    | 4 -> ("page-edge", access ((page * (1 + int 8)) - 1 + int 2))
-    | _ -> ("wildcall", Asm.Jal_pc (int (n + 8)))
+  let pick l = List.nth l (int (List.length l)) in
+  let restores =
+    List.filter
+      (fun pc ->
+        match code.(pc) with Asm.Lw (_, _, _, Asm.Tsave) -> true | _ -> false)
+      (List.init n Fun.id)
+  in
+  let pc, kind, inst =
+    match int 9 with
+    | 0 -> (pc, "divzero", Asm.Binopi (Ir.Div, Machine.t0, Machine.t0, 0))
+    | 1 -> (pc, "oob", access (-1 - int 7))
+    | 2 -> (pc, "oob-top", access (Machine.mem_words + int 7))
+    | 3 -> (pc, "top", access (Machine.mem_words - 1))
+    | 4 -> (pc, "page-edge", access ((page * (1 + int 8)) - 1 + int 2))
+    | 5 -> (pc, "wildcall", Asm.Jal_pc (int (n + 8)))
+    | 6 ->
+        let preserved =
+          List.concat_map (fun (_, m) -> m.Asm.m_preserved) prog.Asm.metas
+        in
+        let r =
+          pick (if preserved = [] then Machine.callee_saved else preserved)
+        in
+        (pc, "clobber", Asm.Li (r, int 1000))
+    | 7 when restores <> [] ->
+        let pc = pick restores in
+        let d =
+          match code.(pc) with Asm.Lw (d, _, _, _) -> d | _ -> assert false
+        in
+        let u =
+          pick
+            (List.filter (( <> ) d) Machine.(caller_saved @ callee_saved))
+        in
+        (pc, "restore-to-move", Asm.Move (u, d))
+    | _ -> (pc, "jump", Asm.J (int n))
   in
   code.(pc) <- inst;
   (Printf.sprintf "%s@%d" kind pc, { prog with Asm.code = code })
@@ -438,6 +584,8 @@ let suite =
       Alcotest.test_case "paged memory: a trivial run allocates little"
         `Quick test_memory_is_lazy;
       Alcotest.test_case "diff: wild call" `Quick test_diff_wild_call;
+      Alcotest.test_case "checker: clobbers on every path are caught" `Quick
+        test_checker_follows_clobber_paths;
       Alcotest.test_case "diff: division by zero" `Quick
         test_diff_division_by_zero;
       Alcotest.test_case "diff: profile block counts" `Quick
